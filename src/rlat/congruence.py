@@ -55,7 +55,9 @@ def congruence_from_filter(alg, f):
 
     The result is re-verified as a reflexive, symmetric, transitive relation
     compatible with join, fusion, and negation; a failure here means the
-    input algebra was not a valid member.
+    input algebra was not a valid member. An O(n^2) class-representative
+    check decides; the O(n^3) scan runs only on a failure, to name it in
+    the ValueError message.
     """
     a = f.generator
     n = alg.n
@@ -91,6 +93,13 @@ def congruence_from_filter(alg, f):
 
 
 def _check_congruence(alg, rel):
+    """Raise ValueError unless rel is a congruence of alg.
+
+    _congruence_ok decides; the element-by-element scan below runs only on
+    a failure, to raise the message naming the first broken property.
+    """
+    if _congruence_ok(alg, rel):
+        return
     n = alg.n
     for x in range(n):
         if not (rel[x] >> x) & 1:
@@ -108,6 +117,30 @@ def _check_congruence(alg, rel):
                     raise ValueError("relation ignores join")
                 if not (rel[alg.fusion[x][z]] >> alg.fusion[y][z]) & 1:
                     raise ValueError("relation ignores fusion")
+
+
+def _congruence_ok(alg, rel):
+    """Whether rel is an equivalence compatible with neg, join and fusion.
+
+    A reflexive relation is an equivalence exactly when every y related to x
+    has the same row as x. Then, with rep(x) the least element of x's class,
+    it is compatible exactly when neg x ~ neg rep(x) and op(x, z) ~
+    op(rep(x), z) for every z: two related elements share their rep.
+    O(n^2), against the scan's O(n * sum of class sizes * n).
+    """
+    n = alg.n
+    if any(not (rel[x] >> x) & 1 for x in range(n)):
+        return False
+    if any(rel[y] != rel[x] for x in range(n) for y in bits(rel[x])):
+        return False
+    rep = [(row & -row).bit_length() - 1 for row in rel]
+    if any(rep[alg.neg[x]] != rep[alg.neg[rep[x]]] for x in range(n)):
+        return False
+    for table in (alg.join, alg.fusion):
+        classwise = [[rep[v] for v in row] for row in table]
+        if any(classwise[x] != classwise[rep[x]] for x in range(n)):
+            return False
+    return True
 
 
 def congruence_lattice(alg):

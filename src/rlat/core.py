@@ -240,6 +240,9 @@ def validate(alg):
 
     The first failing tuple (by element index, scanned lexicographically) is
     recorded per axiom. All checks passing certifies membership in the class.
+    Associativity and distributivity are decided by bitmask fast paths; their
+    O(n^3) lexicographic scans run only to name the witness of a failure, so
+    the report is the one the scans alone would give.
     """
     n = alg.n
     jn, fu, ng = alg.join, alg.fusion, alg.neg
@@ -260,21 +263,33 @@ def validate(alg):
                         return (x, y, z)
         return None
 
-    w = first_pair(lambda x, y: jn[x][y] == jn[y][x])
-    rep.add("join commutative", w is None, w)
-    w = first_triple(lambda x, y, z: jn[jn[x][y]][z] == jn[x][jn[y][z]])
-    rep.add("join associative", w is None, w)
-    w = next(((x,) for x in range(n) if jn[x][x] != x), None)
-    rep.add("join idempotent", w is None, w)
+    def first_idempotence_failure(t):
+        return next(((x,) for x in range(n) if t[x][x] != x), None)
 
-    w = first_pair(lambda x, y: fu[x][y] == fu[y][x])
-    rep.add("fusion commutative", w is None, w)
-    w = first_triple(lambda x, y, z: fu[fu[x][y]][z] == fu[x][fu[y][z]])
+    def first_associativity_failure(t):
+        return first_triple(lambda x, y, z: t[t[x][y]][z] == t[x][t[y][z]])
+
+    # with commutativity, {y : x v y = y} is the lattice up-set of x
+    comm = first_pair(lambda x, y: jn[x][y] == jn[y][x])
+    idem = first_idempotence_failure(jn)
+    semilattice = (comm is None and idem is None
+                   and _is_semilattice(jn, alg.lat_up))
+    w = None if semilattice else first_associativity_failure(jn)
+    rep.add("join commutative", comm is None, comm)
+    rep.add("join associative", w is None, w)
+    rep.add("join idempotent", idem is None, idem)
+
+    # with commutativity, {y : x.y = y} is the monoidal down-set of x
+    comm = first_pair(lambda x, y: fu[x][y] == fu[y][x])
+    idem = first_idempotence_failure(fu)
+    semilattice = (comm is None and idem is None
+                   and _is_semilattice(fu, alg.mon_dn))
+    w = None if semilattice else first_associativity_failure(fu)
+    rep.add("fusion commutative", comm is None, comm)
     rep.add("fusion associative", w is None, w)
     w = next(((x,) for x in range(n) if fu[alg.one][x] != x), None)
     rep.add("fusion unit", w is None, w)
-    w = next(((x,) for x in range(n) if fu[x][x] != x), None)
-    rep.add("fusion idempotent", w is None, w)
+    rep.add("fusion idempotent", idem is None, idem)
 
     w = next(((x,) for x in range(n) if ng[ng[x]] != x), None)
     rep.add("involution", w is None, w)
@@ -290,9 +305,39 @@ def validate(alg):
     w = first_pair(resid)
     rep.add("residuation", w is None, w)
 
-    w = first_triple(lambda x, y, z: fu[x][jn[y][z]] == jn[fu[x][y]][fu[x][z]])
+    if rep.ok:
+        # The nine axioms above imply distributivity. Join is a semilattice
+        # operation, so <= is a partial order with joins. Residuation reads
+        # u <= neg v  iff  u.v <= 0; with involution, associativity and
+        # commutativity of fusion, for all x, y, z:
+        #   x.y <= z  iff  (x.y).neg z <= 0  iff  y.(x.neg z) <= 0
+        #             iff  y <= neg(x.neg z).
+        # So x._ is left adjoint to z |-> neg(x.neg z), and a left adjoint
+        # keeps every join: x.(y v z) <= u iff y v z <= neg(x.neg u) iff
+        # x.y <= u and x.z <= u iff x.y v x.z <= u, for every u.
+        w = None
+    else:
+        w = first_triple(
+            lambda x, y, z: fu[x][jn[y][z]] == jn[fu[x][y]][fu[x][z]])
     rep.add("fusion distributes over join", w is None, w)
     return rep
+
+
+def _is_semilattice(table, up):
+    """Whether a commutative idempotent table is associative, in O(n^2).
+
+    up[x] is the mask of {y : x op y = y}. The table is associative exactly
+    when x op y is the least upper bound in the relation up describes, that
+    is up[x op y] == up[x] & up[y] for all x <= y (by index): this makes the
+    relation a partial order, and least upper bounds are associative.
+    """
+    n = len(table)
+    for x in range(n):
+        ux, row = up[x], table[x]
+        for y in range(x + 1, n):
+            if up[row[y]] != ux & up[y]:
+                return False
+    return True
 
 
 def elementary_properties(alg):

@@ -143,26 +143,44 @@ def emit_gluing(spec_file):
     return "\n".join(lines) + "\n"
 
 
-def load_algebra(path, _seen=None):
-    """Load an algebra file, or glue a spec file (recursively) by extension."""
-    real = os.path.realpath(path)
-    seen = _seen or frozenset()
-    if real in seen:
-        raise ParseError(1, "circular reference through %s" % path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not path.endswith(".gspec"):
-        return parse(text)
-    sf = parse_gluing(text)
-    base = os.path.dirname(real)
-    lower = load_algebra(os.path.join(base, sf.lower_ref), seen | {real})
-    upper = load_algebra(os.path.join(base, sf.upper_ref), seen | {real})
-    spec = build_spec(sf, lower, upper)
-    rep = validate_gluing(spec)
-    if not rep.ok:
-        raise ValueError("gluing spec %s fails %r"
-                         % (path, rep.failures()[0][0]))
-    return glue(spec).result
+def load_algebra(path):
+    """Load an algebra file, or glue a spec file by extension.
+
+    A spec's references are loaded depth first, lower before upper, from an
+    explicit stack, so a chain of specs of any depth loads without
+    recursion. A spec that refers back to a spec it is nested in raises
+    ParseError.
+    """
+    nested = set()   # real paths of the specs on the stack
+    stack = []       # (path, real path, spec file, [loaded lower])
+    while True:
+        real = os.path.realpath(path)
+        if real in nested:
+            raise ParseError(1, "circular reference through %s" % path)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if path.endswith(".gspec"):
+            sf = parse_gluing(text)
+            nested.add(real)
+            stack.append((path, real, sf, []))
+            path = os.path.join(os.path.dirname(real), sf.lower_ref)
+            continue
+        alg = parse(text)
+        # alg is the upper part of every spec on top whose lower is loaded
+        while stack and stack[-1][3]:
+            spec_path, spec_real, sf, (lower,) = stack.pop()
+            nested.remove(spec_real)
+            spec = build_spec(sf, lower, alg)
+            rep = validate_gluing(spec)
+            if not rep.ok:
+                raise ValueError("gluing spec %s fails %r"
+                                 % (spec_path, rep.failures()[0][0]))
+            alg = glue(spec).result
+        if not stack:
+            return alg
+        _, spec_real, sf, loaded = stack[-1]
+        loaded.append(alg)
+        path = os.path.join(os.path.dirname(spec_real), sf.upper_ref)
 
 
 def build_spec(spec_file, lower, upper):

@@ -45,6 +45,50 @@ def satisfies_all_laws(one, neg, join, fusion):
     return True
 
 
+def scan_axioms(one, neg, join, fusion):
+    """(name, ok, witness) per axiom, in the order of rlat.AXIOM_NAMES.
+
+    Each law is scanned over its tuples in lexicographic order of element
+    indexes; the witness is the first tuple where it fails, or None.
+    """
+    n = len(neg)
+    rng = range(n)
+    singles = [(x,) for x in rng]
+    pairs = list(itertools.product(rng, repeat=2))
+    triples = list(itertools.product(rng, repeat=3))
+    zero = neg[one]
+
+    def leq(x, y):
+        return join[x][y] == y
+
+    laws = (
+        ("join commutative", pairs,
+         lambda x, y: join[x][y] == join[y][x]),
+        ("join associative", triples,
+         lambda x, y, z: join[join[x][y]][z] == join[x][join[y][z]]),
+        ("join idempotent", singles, lambda x: join[x][x] == x),
+        ("fusion commutative", pairs,
+         lambda x, y: fusion[x][y] == fusion[y][x]),
+        ("fusion associative", triples,
+         lambda x, y, z: fusion[fusion[x][y]][z] == fusion[x][fusion[y][z]]),
+        ("fusion unit", singles, lambda x: fusion[one][x] == x),
+        ("fusion idempotent", singles, lambda x: fusion[x][x] == x),
+        ("involution", singles, lambda x: neg[neg[x]] == x),
+        # x <= neg y  iff  x.y <= 0  iff  y <= neg x
+        ("residuation", pairs,
+         lambda x, y: (leq(x, neg[y]) == leq(fusion[x][y], zero)
+                       == leq(y, neg[x]))),
+        ("fusion distributes over join", triples,
+         lambda x, y, z: (fusion[x][join[y][z]]
+                          == join[fusion[x][y]][fusion[x][z]])),
+    )
+    out = []
+    for name, tuples, law in laws:
+        w = next((t for t in tuples if not law(*t)), None)
+        out.append((name, w is None, w))
+    return out
+
+
 def naive_isomorphic(a, b):
     """Try every permutation; usable only for tiny carriers."""
     if a.n != b.n:
@@ -155,6 +199,40 @@ def naive_congruences(alg):
         if ok:
             found.append(tuple(cls))
     return found
+
+
+def scan_congruence(alg, rel):
+    """The message of the first broken congruence property, or None.
+
+    Element by element: reflexive, symmetric, transitive, then compatible
+    with negation, join and fusion in the left argument.
+    """
+    n = alg.n
+    for x in range(n):
+        if not (rel[x] >> x) & 1:
+            return "relation is not reflexive"
+        for y in range(n):
+            if not (rel[x] >> y) & 1:
+                continue
+            if not (rel[y] >> x) & 1:
+                return "relation is not symmetric"
+            if rel[x] | rel[y] != rel[x]:
+                return "relation is not transitive"
+            if alg.neg[x] != alg.neg[y] and not \
+                    (rel[alg.neg[x]] >> alg.neg[y]) & 1:
+                return "relation ignores negation"
+            for z in range(n):
+                if not (rel[alg.join[x][z]] >> alg.join[y][z]) & 1:
+                    return "relation ignores join"
+                if not (rel[alg.fusion[x][z]] >> alg.fusion[y][z]) & 1:
+                    return "relation ignores fusion"
+    return None
+
+
+def relation_of(cls_vec):
+    """Class-index vector -> bitmask rows: bit y of row x iff same class."""
+    return tuple(sum(1 << y for y, d in enumerate(cls_vec) if d == c)
+                 for c in cls_vec)
 
 
 def classes_of(cls_vec):

@@ -109,6 +109,22 @@ class TestGlue:
         assert code == 1
         assert "a is not below the lower zero: FAIL" in out
 
+    def test_deep_chain_to_missing_file_exits_two(self, capsys, tmp_path):
+        # deeper than the interpreter's default recursion limit
+        depth = 1200
+        (tmp_path / "u.rlat").write_text(emit(boolean_algebra(0)),
+                                         encoding="utf-8")
+        for i in range(depth):
+            lower = "g%d.gspec" % (i + 1) if i + 1 < depth else "missing.rlat"
+            (tmp_path / ("g%d.gspec" % i)).write_text(
+                "lower %s\nupper u.rlat\na 1\nb 1\nphi 1 -> 1\n" % lower,
+                encoding="utf-8")
+        code, out, err = invoke(capsys, "glue", str(tmp_path / "g0.gspec"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "missing.rlat" in err
+        assert "Traceback" not in err
+
 
 class TestDecomposeReassemble:
     def test_fixture_tree_description(self, capsys, a1_path):

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
-from oracles import classes_of, naive_congruences
+from oracles import (classes_of, naive_congruences, relation_of,
+                     scan_congruence, set_partitions)
 from rlat import find_isomorphism, validate
-from rlat.congruence import (congruence_from_filter, congruence_lattice,
+from rlat.congruence import (_check_congruence, _congruence_ok,
+                             congruence_from_filter, congruence_lattice,
                              filters_of_negative_cone, quotient)
 from rlat.core import bits
 
@@ -76,6 +80,48 @@ class TestCongruenceFromFilter:
                 h = set(congruence_from_filter(alg, f).one_class)
                 closed = all(alg.neg[x] in h for x in h)
                 assert closed == alg.leq(f.generator, alg.zero)
+
+
+def sample_relations(n, rng):
+    """Every equivalence on range(n), each also with one bit and with one
+    symmetric pair of bits flipped at random; then random relations, each
+    also made reflexive."""
+    for vec in set_partitions(n):
+        rel = relation_of(vec)
+        yield rel
+        x, y = rng.randrange(n), rng.randrange(n)
+        for cells in (((x, y),), ((x, y), (y, x))):
+            rows = list(rel)
+            for p, q in set(cells):
+                rows[p] ^= 1 << q
+            yield tuple(rows)
+    for _ in range(200):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        yield tuple(rows)
+        yield tuple(row | 1 << x for x, row in enumerate(rows))
+
+
+class TestCongruenceCheck:
+    def test_fast_path_agrees_with_scan(self, corpus6):
+        rng = random.Random(20200729)
+        messages = set()
+        for alg in corpus6.algebras:
+            if alg.n > 5:
+                continue
+            members = {relation_of(vec) for vec in naive_congruences(alg)}
+            for rel in sample_relations(alg.n, rng):
+                message = scan_congruence(alg, rel)
+                messages.add(message)
+                assert _congruence_ok(alg, rel) == (rel in members)
+                assert (message is None) == (rel in members)
+                if message is None:
+                    _check_congruence(alg, rel)
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    _check_congruence(alg, rel)
+                assert str(exc.value) == message
+        # the sample reaches every verdict the scan can give
+        assert len(messages) == 7, messages
 
 
 class TestCongruenceLattice:

@@ -1,9 +1,10 @@
 import pytest
 
-from oracles import naive_isomorphic
+from oracles import naive_isomorphic, scan_axioms
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, derived_operations,
                   elementary_properties, find_isomorphism,
                   subalgebra_generated, validate)
+from rlat.core import _is_semilattice
 from rlat.generate import boolean_algebra, build_an
 
 
@@ -102,6 +103,60 @@ class TestValidate:
         name, witness = rep.failures()[0]
         assert name == "join commutative"
         assert witness == (0, 1)
+
+
+def single_cell_mutants(alg):
+    """Every one-sided and every symmetric single-cell change of join and
+    of fusion, as (join, fusion) table pairs."""
+    n = alg.n
+    for label in ("join", "fusion"):
+        base = getattr(alg, label)
+        for i in range(n):
+            for j in range(n):
+                for v in range(n):
+                    if v == base[i][j]:
+                        continue
+                    sides = [[(i, j)]]
+                    if i < j:
+                        sides.append([(i, j), (j, i)])
+                    for cells in sides:
+                        t = [row[:] for row in base]
+                        for p, q in cells:
+                            t[p][q] = v
+                        if label == "join":
+                            yield t, alg.fusion
+                        else:
+                            yield alg.join, t
+
+
+class TestValidateAgainstScan:
+    """validate's fast paths must report what the plain lexicographic scan
+    reports: the same verdict and the same first witness per axiom."""
+
+    @pytest.mark.parametrize("which", ["a1", "an1", "bool3"])
+    def test_single_cell_mutants(self, a1, which):
+        alg = {"a1": a1, "an1": build_an(1),
+               "bool3": boolean_algebra(3)}[which]
+        count = 0
+        for join, fusion in single_cell_mutants(alg):
+            bad = FiniteInRL(alg.names, alg.one, alg.neg, join, fusion)
+            assert validate(bad).checks == \
+                scan_axioms(alg.one, alg.neg, join, fusion), (join, fusion)
+            count += 1
+        # one-sided: 2 n^2 (n-1); symmetric off the diagonal: n (n-1)^2
+        n = alg.n
+        assert count == 2 * n * n * (n - 1) + n * (n - 1) ** 2
+
+    def test_corpus(self, corpus6):
+        for alg in corpus6.algebras:
+            assert validate(alg).checks == \
+                scan_axioms(alg.one, alg.neg, alg.join, alg.fusion)
+
+    def test_fast_path_accepts_members(self, a1, corpus6):
+        # a member never falls back to the O(n^3) associativity scan
+        for alg in [a1, build_an(3)] + list(corpus6.algebras):
+            assert _is_semilattice(alg.join, alg.lat_up)
+            assert _is_semilattice(alg.fusion, alg.mon_dn)
 
 
 class TestDerived:

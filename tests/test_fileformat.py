@@ -124,6 +124,27 @@ class TestLoadAlgebra:
             load_algebra(str(loop))
         assert "circular" in str(exc.value)
 
+    def test_deep_cycle_detected(self, tmp_path):
+        depth = 1200
+        for i in range(depth):
+            (tmp_path / ("g%d.gspec" % i)).write_text(
+                "lower g%d.gspec\nupper u.rlat\na a\nb b\nphi a -> b\n"
+                % ((i + 1) % depth), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_algebra(str(tmp_path / "g0.gspec"))
+        assert "circular reference through" in str(exc.value)
+        assert str(exc.value).endswith("g0.gspec")
+
+    def test_spec_used_twice_is_not_circular(self, tmp_path, fixdir):
+        sample = fixdir / "sample.gspec"
+        top = tmp_path / "twice.gspec"
+        top.write_text("lower %s\nupper %s\na 1_b\nb 1_b\nphi 1_b -> 1_b\n"
+                       % (sample, sample), encoding="utf-8")
+        # both references load; the gluing itself is what fails
+        with pytest.raises(ValueError) as exc:
+            load_algebra(str(top))
+        assert "gluing spec" in str(exc.value)
+
 
 class TestWriteTree:
     def test_leaf_round_trip(self, tmp_path):
