@@ -8,10 +8,8 @@ procedures, exhaustive enumeration up to isomorphism, and text file formats.
 from .congruence import (Congruence, ConLattice, NegConeFilter,
                          congruence_from_filter, congruence_lattice,
                          filters_of_negative_cone, quotient)
-from .core import (AXIOM_NAMES, AxiomReport, DerivedOps, FiniteInRL,
-                   OrderPair, Report, derived_operations,
-                   elementary_properties, find_isomorphism,
-                   subalgebra_generated, validate)
+from .core import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
+                   find_isomorphism, subalgebra_generated, validate)
 from .decompose import (DecompositionTree, Leaf, Node, SplitResult,
                         decompose, find_atoms, reassemble, split)
 from .fileformat import (GluingSpecFile, ParseError, build_spec, dot_export,
@@ -28,13 +26,12 @@ from .props import (PropertyVerdict, distributive_semilattice_table,
 from .search import Corpus, enumerate_up_to_iso
 
 __all__ = [
-    "AXIOM_NAMES", "AxiomReport", "BooleanBlock", "ConLattice", "Congruence",
-    "Corpus", "DecompositionTree", "DerivedOps", "FiniteInRL",
-    "GluedAlgebra", "GluingSpec", "GluingSpecFile", "Leaf", "NegConeFilter",
-    "Node", "OrderPair", "ParseError", "Partition", "PropertyVerdict",
-    "Report", "SplitResult", "block", "boolean_algebra", "build_an",
-    "build_spec", "congruence_from_filter", "congruence_lattice",
-    "decompose", "derived_operations", "distributive_semilattice_table",
+    "AXIOM_NAMES", "BooleanBlock", "ConLattice", "Congruence", "Corpus",
+    "DecompositionTree", "FiniteInRL", "GluedAlgebra", "GluingSpec",
+    "GluingSpecFile", "Leaf", "NegConeFilter", "Node", "ParseError",
+    "Partition", "PropertyVerdict", "Report", "SplitResult", "block",
+    "boolean_algebra", "build_an", "build_spec", "congruence_from_filter",
+    "congruence_lattice", "decompose", "distributive_semilattice_table",
     "dot_export", "elementary_properties", "emit", "emit_gluing",
     "enumerate_up_to_iso", "filters_of_negative_cone", "find_atoms",
     "find_isomorphism", "glue", "is_distributive_semilattice",

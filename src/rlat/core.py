@@ -5,7 +5,6 @@ An algebra is stored as the signature (join, fusion, neg, 1) over elements
 relations are kept as int bitmasks: bit y of row x is set iff x R y.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -59,9 +58,6 @@ class Report:
         return out
 
 
-# AxiomReport is a Report whose check names are the axiom names below.
-AxiomReport = Report
-
 AXIOM_NAMES = (
     "join commutative",
     "join associative",
@@ -105,7 +101,7 @@ class FiniteInRL:
         for label, table in (("join", self.join), ("fusion", self.fusion)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError("%s table is not %dx%d" % (label, n, n))
-            if any(not (0 <= v < n) for row in table for v in row):
+            if min(map(min, table)) < 0 or max(map(max, table)) >= n:
                 raise ValueError("%s table entry out of range" % label)
         self.index = {name: i for i, name in enumerate(self.names)}
 
@@ -211,32 +207,8 @@ def _covers(up):
     return tuple(out)
 
 
-@dataclass
-class OrderPair:
-    lattice_leq: tuple
-    monoidal_leq: tuple
-    lattice_covers: tuple
-    monoidal_covers: tuple
-
-
-@dataclass
-class DerivedOps:
-    zero: int
-    meet: list
-    residual: list
-    positive_cone: int
-    negative_cone: int
-
-
-def derived_operations(alg):
-    """Both orders plus the term-derived operations of an algebra."""
-    orders = OrderPair(alg.lat_up, alg.mon_up, alg.lat_covers, alg.mon_covers)
-    ops = DerivedOps(alg.zero, alg.meet, alg.imp, alg.pos_cone, alg.neg_cone)
-    return orders, ops
-
-
 def validate(alg):
-    """Check every defining axiom; returns an AxiomReport.
+    """Check every defining axiom; returns a Report.
 
     The first failing tuple (by element index, scanned lexicographically) is
     recorded per axiom. All checks passing certifies membership in the class.
@@ -321,6 +293,18 @@ def validate(alg):
             lambda x, y, z: fu[x][jn[y][z]] == jn[fu[x][y]][fu[x][z]])
     rep.add("fusion distributes over join", w is None, w)
     return rep
+
+
+def check_member(alg, label="algebra"):
+    """Raise ValueError naming the first axiom alg fails, if any.
+
+    Public entry points call this once on the algebras they receive; what
+    they build from a member is a member by the paper's theorems and is not
+    checked again.
+    """
+    rep = validate(alg)
+    if not rep.ok:
+        raise ValueError("%s fails axiom %r" % (label, rep.failures()[0][0]))
 
 
 def _is_semilattice(table, up):

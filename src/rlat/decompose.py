@@ -8,8 +8,8 @@ gluing factors, and the connecting map is term-defined from c and c*.
 
 from dataclasses import dataclass
 
-from .core import FiniteInRL, bits, mask_of, validate
-from .gluing import GluingSpec, glue, validate_gluing
+from .core import FiniteInRL, bits, check_member
+from .gluing import GluingSpec, _glue, check_ingredients
 
 
 @dataclass
@@ -59,18 +59,6 @@ def find_atoms(alg):
 def _restrict(alg, ids, one):
     """Subalgebra on ids (sorted) with the given unit; names carry over."""
     pos = {g: i for i, g in enumerate(ids)}
-    member = mask_of(ids)
-    for x in ids:
-        if not (member >> alg.neg[x]) & 1:
-            raise ValueError("subset not closed under negation at %s"
-                             % alg.names[x])
-        for y in ids:
-            if not (member >> alg.join[x][y]) & 1:
-                raise ValueError("subset not closed under join at (%s, %s)"
-                                 % (alg.names[x], alg.names[y]))
-            if not (member >> alg.fusion[x][y]) & 1:
-                raise ValueError("subset not closed under fusion at (%s, %s)"
-                                 % (alg.names[x], alg.names[y]))
     names = [alg.names[g] for g in ids]
     neg = [pos[alg.neg[g]] for g in ids]
     join = [[pos[alg.join[x][y]] for y in ids] for x in ids]
@@ -79,86 +67,73 @@ def _restrict(alg, ids, one):
 
 
 def split(alg, c):
-    """Split at atom c; every structural invariant of the result is checked."""
+    """Split a member at atom c; raises ValueError on a non-member or a
+    non-atom."""
+    check_member(alg)
     if c not in find_atoms(alg):
         raise ValueError("%s is not an atom of the positive cone"
                          % alg.names[c])
+    return _split(alg, c)
+
+
+def _split(alg, c):
+    """Split a member at an atom; the factors are members and the spec is
+    valid by the decomposition theorem, so neither is checked again."""
     pos = alg.pos_cone
     low_cone = pos & alg.mon_dn[c]
-    cands = [cs for cs in bits(pos)
-             if (low_cone | (pos & alg.mon_up[cs])) == pos
-             and not (low_cone & pos & alg.mon_up[cs])]
-    if len(cands) != 1:
-        raise ValueError("no unique complement for atom %s; input is not a "
-                         "valid member" % alg.names[c])
-    c_star = cands[0]
+    c_star = next(cs for cs in bits(pos)
+                  if (low_cone | (pos & alg.mon_up[cs])) == pos
+                  and not (low_cone & alg.mon_up[cs]))
     neg_cs = alg.neg[c_star]
 
-    lower_ids = sorted(bits(alg.mon_dn[c]))
-    upper_ids = sorted(bits(alg.mon_up[neg_cs]))
-    if sorted(lower_ids + upper_ids) != list(range(alg.n)):
-        raise ValueError("monoidal down-set of %s and up-set of %s do not "
-                         "partition the carrier"
-                         % (alg.names[c], alg.names[neg_cs]))
-
+    lower_ids = list(bits(alg.mon_dn[c]))
+    upper_ids = list(bits(alg.mon_up[neg_cs]))
     lower = _restrict(alg, lower_ids, one=c)
     upper = _restrict(alg, upper_ids, one=alg.one)
-    for part, label in ((lower, "lower"), (upper, "upper")):
-        rep = validate(part)
-        if not rep.ok:
-            raise ValueError("%s factor fails axiom %r"
-                             % (label, rep.failures()[0][0]))
 
     a_g = alg.fusion[c][neg_cs]
     na_g = alg.neg[a_g]
     b_g = alg.join[alg.meet[c][na_g]][neg_cs]
-
-    def phi_g(x):
-        return alg.join[alg.meet[x][na_g]][neg_cs]
-
     lo_pos = {g: i for i, g in enumerate(lower_ids)}
     up_pos = {g: i for i, g in enumerate(upper_ids)}
-    dom = sorted(bits(alg.mon_up[a_g] & mask_of(lower_ids)))
-    for x in dom:
-        if phi_g(x) not in up_pos:
-            raise ValueError("connecting map leaves the upper factor at %s"
-                             % alg.names[x])
-    phi = {lo_pos[x]: up_pos[phi_g(x)] for x in dom}
-
-    for x in dom:
-        if alg.fusion[phi_g(x)][c] != x:
-            raise ValueError("connecting map is not inverted by fusion "
-                             "with %s at %s" % (alg.names[c], alg.names[x]))
-    for y in bits(alg.mon_dn[b_g] & mask_of(upper_ids)):
-        if phi_g(alg.fusion[y][c]) != y:
-            raise ValueError("connecting map misses %s" % alg.names[y])
-
+    phi = {lo_pos[x]: up_pos[alg.join[alg.meet[x][na_g]][neg_cs]]
+           for x in bits(alg.mon_up[a_g] & alg.mon_dn[c])}
     spec = GluingSpec(lower, upper, lo_pos[a_g], up_pos[b_g], phi)
-    rep = validate_gluing(spec)
-    if not rep.ok:
-        raise ValueError("split ingredients fail %r"
-                         % rep.failures()[0][0])
     return SplitResult(c, c_star, lower, upper, spec)
 
 
 def decompose(alg):
-    """Recursive splitting down to Boolean leaves; atoms chosen by least id."""
+    """Recursive splitting down to Boolean leaves; atoms chosen by least id.
+
+    Raises ValueError if alg is not a member.
+    """
+    check_member(alg)
+    return _decompose(alg)
+
+
+def _decompose(alg):
     atoms = find_atoms(alg)
     if not atoms:
         return Leaf(alg)
-    s = split(alg, atoms[0])
-    return Node(s, decompose(s.lower), decompose(s.upper))
+    s = _split(alg, atoms[0])
+    return Node(s, _decompose(s.lower), _decompose(s.upper))
 
 
 def reassemble(tree):
-    """Fold glue over the tree; inverse of decompose up to isomorphism."""
+    """Fold glue over the tree; inverse of decompose up to isomorphism.
+
+    Every leaf must be a member and every node's spec must pass
+    validate_gluing once rebased onto its reassembled factors; raises
+    ValueError otherwise.
+    """
     if isinstance(tree, Leaf):
+        check_member(tree.algebra, "leaf")
         return tree.algebra
-    s = tree.split
     lower = reassemble(tree.lower)
     upper = reassemble(tree.upper)
-    spec = _remap_spec(s.spec, lower, upper)
-    return glue(spec).result
+    spec = _remap_spec(tree.split.spec, lower, upper)
+    check_ingredients(spec)
+    return _glue(spec)
 
 
 def _remap_spec(spec, lower, upper):

@@ -12,8 +12,8 @@ decomposition tree on disk reassemblable by loading its root.
 import os
 from dataclasses import dataclass
 
-from .core import FiniteInRL
-from .gluing import GluingSpec, glue, validate_gluing
+from .core import FiniteInRL, check_member
+from .gluing import GluingSpec, _glue, validate_gluing
 
 _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 
@@ -149,7 +149,9 @@ def load_algebra(path):
     A spec's references are loaded depth first, lower before upper, from an
     explicit stack, so a chain of specs of any depth loads without
     recursion. A spec that refers back to a spec it is nested in raises
-    ParseError.
+    ParseError. Under a spec, every algebra file must be a member and every
+    spec must pass validate_gluing, or ValueError names the file; the glued
+    results are then members and are not checked again.
     """
     nested = set()   # real paths of the specs on the stack
     stack = []       # (path, real path, spec file, [loaded lower])
@@ -166,6 +168,8 @@ def load_algebra(path):
             path = os.path.join(os.path.dirname(real), sf.lower_ref)
             continue
         alg = parse(text)
+        if stack:
+            check_member(alg, path)
         # alg is the upper part of every spec on top whose lower is loaded
         while stack and stack[-1][3]:
             spec_path, spec_real, sf, (lower,) = stack.pop()
@@ -175,7 +179,7 @@ def load_algebra(path):
             if not rep.ok:
                 raise ValueError("gluing spec %s fails %r"
                                  % (spec_path, rep.failures()[0][0]))
-            alg = glue(spec).result
+            alg = _glue(spec)
         if not stack:
             return alg
         _, spec_real, sf, loaded = stack[-1]

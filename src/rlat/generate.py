@@ -7,18 +7,21 @@ the family witnesses that one generator does not bound the size.
 """
 
 from .core import FiniteInRL
-from .gluing import GluingSpec, glue
+from .gluing import GluingSpec, _glue
 
-SIZE_CAP = 4096
+# The largest carrier the generators build. At this size `rlat gen an 254`
+# (n = 1022) took 18 s and `rlat gen bool 10` 0.9 s on a 2-CPU machine with
+# Python 3.11; build_an's cost grows as about n^3, so an(500) took 150 s.
+SIZE_CAP = 1024
 
 
-def boolean_algebra(k, cap=SIZE_CAP):
+def boolean_algebra(k):
     """Boolean algebra on k atoms; fusion is meet, 2^k elements."""
     if k < 0:
         raise ValueError("atom count must be nonnegative")
     n = 1 << k
-    if n > cap:
-        raise ValueError("size %d exceeds cap %d" % (n, cap))
+    if n > SIZE_CAP:
+        raise ValueError("size %d exceeds cap %d" % (n, SIZE_CAP))
     full = n - 1
 
     def name(m):
@@ -46,12 +49,12 @@ def _block(i):
     return FiniteInRL(names, 3, neg, join, fusion)
 
 
-def build_an(n, cap=SIZE_CAP):
+def build_an(n):
     """Left-associated glued chain of n+1 blocks plus a final two-element top."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if 4 * n + 6 > cap:
-        raise ValueError("size %d exceeds cap %d" % (4 * n + 6, cap))
+    if 4 * n + 6 > SIZE_CAP:
+        raise ValueError("size %d exceeds cap %d" % (4 * n + 6, SIZE_CAP))
     cur = _block(0)
     for i in range(n):
         nxt = _block(i + 1)
@@ -62,9 +65,9 @@ def build_an(n, cap=SIZE_CAP):
             a = cur.element("-x_%d" % i)
             b = nxt.element("x_%d" % (i + 1))
         phi = {cur.one: b, a: nxt.element("0_%d" % (i + 1))}
-        cur = glue(GluingSpec(cur, nxt, a, b, phi)).result
+        cur = _glue(GluingSpec(cur, nxt, a, b, phi))
     two = boolean_algebra(1)
     a = cur.one
     b = two.element("0")
-    cur = glue(GluingSpec(cur, two, a, b, {a: b})).result
+    cur = _glue(GluingSpec(cur, two, a, b, {a: b}))
     return cur

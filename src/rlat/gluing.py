@@ -8,7 +8,7 @@ algebra stacks B's monoidal order on top of A's; its unit and zero are B's.
 
 from dataclasses import dataclass
 
-from .core import FiniteInRL, Report, bits, validate
+from .core import FiniteInRL, Report, bits, check_member
 
 
 @dataclass
@@ -85,17 +85,32 @@ def validate_gluing(spec):
     return rep
 
 
-def glue(spec, check=True):
+def glue(spec):
     """Construct the glued algebra; raises ValueError on bad ingredients.
 
-    With check=True the derived lattice order is compared against its
-    four-case characterization and the result is fully validated; failures
-    there raise RuntimeError since valid ingredients guarantee success.
+    Both factors must be members and the spec must pass validate_gluing;
+    the result is then a member by the gluing theorem and is not checked
+    again.
     """
+    check_member(spec.lower, "lower factor")
+    check_member(spec.upper, "upper factor")
+    check_ingredients(spec)
+    nA, nB = spec.lower.n, spec.upper.n
+    prov = tuple([("lower", x) for x in range(nA)]
+                 + [("upper", y) for y in range(nB)])
+    return GluedAlgebra(_glue(spec), prov)
+
+
+def check_ingredients(spec):
+    """Raise ValueError naming every check of validate_gluing that fails."""
     rep = validate_gluing(spec)
     if not rep.ok:
         raise ValueError("invalid gluing ingredients: "
                          + "; ".join(name for name, _ in rep.failures()))
+
+
+def _glue(spec):
+    """The glued algebra of a spec already known to be valid."""
     A, B = spec.lower, spec.upper
     a, b, phi = spec.a, spec.b, spec.phi
     phi_inv = {v: k for k, v in phi.items()}
@@ -112,17 +127,7 @@ def glue(spec, check=True):
 
     neg = ([A.neg[x] for x in range(nA)]
            + [nA + B.neg[y] for y in range(nB)])
-    n = nA + nB
-    join = [[0] * n for _ in range(n)]
-    fusion = [[0] * n for _ in range(n)]
-    for x in range(nA):
-        for y in range(nA):
-            join[x][y] = A.join[x][y]
-            fusion[x][y] = A.fusion[x][y]
-    for x in range(nB):
-        for y in range(nB):
-            join[nA + x][nA + y] = nA + B.join[x][y]
-            fusion[nA + x][nA + y] = nA + B.fusion[x][y]
+    join, fusion = _stack(A.join, B.join), _stack(A.fusion, B.fusion)
     for x in range(nA):
         for y in range(nB):
             f = A.fusion[x][phi_inv[B.fusion[y][b]]]
@@ -133,43 +138,12 @@ def glue(spec, check=True):
                 j = A.join[x][phi_inv[B.fusion[y][b]]]
             join[x][nA + y] = join[nA + y][x] = j
 
-    out = FiniteInRL(names, nA + B.one, neg, join, fusion)
-    prov = tuple([("lower", x) for x in range(nA)]
-                 + [("upper", y) for y in range(nB)])
-    if check:
-        _self_check(out, spec, phi_inv)
-    return GluedAlgebra(out, prov)
+    return FiniteInRL(names, nA + B.one, neg, join, fusion)
 
 
-def _self_check(out, spec, phi_inv):
-    A, B = spec.lower, spec.upper
-    a, b, phi = spec.a, spec.b, spec.phi
-    na = A.neg[a]
-    nA = A.n
-    for x in range(nA):
-        for y in range(nA):
-            if out.leq(x, y) != A.leq(x, y):
-                raise RuntimeError("internal error: glued order disagrees "
-                                   "on the lower part")
-    for x in range(B.n):
-        for y in range(B.n):
-            if out.leq(nA + x, nA + y) != B.leq(x, y):
-                raise RuntimeError("internal error: glued order disagrees "
-                                   "on the upper part")
-    for x in range(nA):
-        for y in range(B.n):
-            expect = A.leq(x, na) and B.leq(phi[A.join[x][a]], y)
-            if out.leq(x, nA + y) != expect:
-                raise RuntimeError("internal error: glued order fails the "
-                                   "lower-upper case at (%s, %s)"
-                                   % (A.names[x], B.names[y]))
-            expect = (A.leq(phi_inv[B.fusion[y][b]], x)
-                      and not A.leq(x, na))
-            if out.leq(nA + y, x) != expect:
-                raise RuntimeError("internal error: glued order fails the "
-                                   "upper-lower case at (%s, %s)"
-                                   % (B.names[y], A.names[x]))
-    bad = validate(out)
-    if not bad.ok:
-        raise RuntimeError("internal error: glued algebra fails axiom %r"
-                           % bad.failures()[0][0])
+def _stack(lower, upper):
+    """A table with lower in its top left corner and upper, shifted past
+    lower's ids, in its bottom right; the other cells are 0."""
+    nA, nB = len(lower), len(upper)
+    return ([row + [0] * nB for row in lower]
+            + [[0] * nA + [nA + v for v in row] for row in upper])

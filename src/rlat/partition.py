@@ -8,7 +8,7 @@ dually isomorphic to the positive cone.
 
 from dataclasses import dataclass
 
-from .core import Report, bits
+from .core import Report, bits, check_member
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,12 @@ def block(alg, x):
 
 
 def partition(alg):
-    """Group the carrier into its Boolean blocks."""
+    """Group the carrier into its Boolean blocks.
+
+    Raises ValueError if alg is not a member; on a member the blocks
+    partition the carrier by the block theorem.
+    """
+    check_member(alg)
     by_bottom = {}
     block_of = [None] * alg.n
     for x in range(alg.n):
@@ -52,11 +57,7 @@ def partition(alg):
     blocks = [by_bottom[k] for k in sorted(by_bottom)]
     for i, b in enumerate(blocks):
         for y in b.elements:
-            if block_of[y] is not None:
-                raise ValueError("blocks overlap at %s" % alg.names[y])
             block_of[y] = i
-    if any(i is None for i in block_of):
-        raise ValueError("blocks do not cover the carrier")
     return Partition(blocks, block_of, tuple(sorted(by_bottom)))
 
 

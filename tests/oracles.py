@@ -241,3 +241,40 @@ def classes_of(cls_vec):
     for x, c in enumerate(cls_vec):
         groups.setdefault(c, set()).add(x)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def glued_order_failures(glued, lower, upper, a, b, phi):
+    """Pairs where the lattice order of a glued algebra departs from the
+    gluing construction's four cases, as (case, x, y) with x, y ids in glued.
+
+    Lower elements keep their ids and upper element y becomes len(lower) + y.
+    The order is the lower order on lower pairs and the upper order on upper
+    pairs; a lower x lies below an upper y iff x <= neg a and
+    phi(x v a) <= y; an upper y lies below a lower x iff
+    phi^-1(y . b) <= x and not x <= neg a.
+    """
+    def leq(alg, x, y):
+        return alg.join[x][y] == y
+
+    n_lo = lower.n
+    na = lower.neg[a]
+    phi_inv = {v: k for k, v in phi.items()}
+    out = []
+    for x in range(n_lo):
+        for y in range(n_lo):
+            if leq(glued, x, y) != leq(lower, x, y):
+                out.append(("lower", x, y))
+    for x in range(upper.n):
+        for y in range(upper.n):
+            if leq(glued, n_lo + x, n_lo + y) != leq(upper, x, y):
+                out.append(("upper", n_lo + x, n_lo + y))
+    for x in range(n_lo):
+        for y in range(upper.n):
+            below = leq(lower, x, na)
+            expect = below and leq(upper, phi[lower.join[x][a]], y)
+            if leq(glued, x, n_lo + y) != expect:
+                out.append(("lower-upper", x, n_lo + y))
+            expect = leq(lower, phi_inv[upper.fusion[y][b]], x) and not below
+            if leq(glued, n_lo + y, x) != expect:
+                out.append(("upper-lower", n_lo + y, x))
+    return out

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rlat import AXIOM_NAMES, find_isomorphism, validate
+from rlat import AXIOM_NAMES, FiniteInRL, find_isomorphism, validate
 from rlat.cli import run
 from rlat.fileformat import dot_export, emit, load_algebra, parse
 from rlat.generate import boolean_algebra, build_an
@@ -159,6 +159,45 @@ class TestDecomposeReassemble:
         assert code == 0
         assert parse(out) == alg
 
+    def test_non_member_leaf_exits_two(self, capsys, a1_path, tmp_path):
+        invoke(capsys, "decompose", a1_path, "--out", str(tmp_path))
+        spec = str(tmp_path / "t.gspec")
+        count = 0
+        for leaf in ("t00.rlat", "t01.rlat", "t1.rlat"):
+            path = tmp_path / leaf
+            text = path.read_text(encoding="utf-8")
+            alg = parse(text)
+            n = alg.n
+            for x in range(n):
+                for y in range(n):
+                    for v in range(n):
+                        if v == alg.fusion[x][y]:
+                            continue
+                        fusion = [row[:] for row in alg.fusion]
+                        fusion[x][y] = fusion[y][x] = v
+                        bad = FiniteInRL(alg.names, alg.one, alg.neg,
+                                         alg.join, fusion)
+                        if validate(bad).ok:
+                            continue
+                        count += 1
+                        path.write_text(emit(bad), encoding="utf-8")
+                        for argv in (("reassemble", str(tmp_path)),
+                                     ("check", spec)):
+                            code, out, err = invoke(capsys, *argv)
+                            assert (code, out) == (2, ""), argv
+                            assert err.startswith("error: ")
+                            assert leaf in err and "fails axiom" in err
+                        # the upper factor of t.gspec is read directly, and
+                        # a non-member operand of glue is reported on stdout
+                        code, out, err = invoke(capsys, "glue", spec)
+                        if leaf == "t1.rlat":
+                            assert code == 1 and "FAIL" in out
+                        else:
+                            assert code == 2 and leaf in err
+            path.write_text(text, encoding="utf-8")
+        # every ordered cell (x, y), each other value: 4 + 48 + 48
+        assert count == 100
+
     def test_reassemble_empty_dir(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))
         assert code == 2
@@ -180,6 +219,14 @@ class TestGen:
         code, _, err = invoke(capsys, "gen", "an", "-1")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_size_cap(self, capsys):
+        # build_an(1000) has n = 4006 and would not finish; it is refused
+        # before anything is built
+        for argv in (("an", "1000"), ("bool", "11")):
+            code, out, err = invoke(capsys, "gen", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: size") and "exceeds cap" in err
 
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:

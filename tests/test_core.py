@@ -1,9 +1,8 @@
 import pytest
 
 from oracles import naive_isomorphic, scan_axioms
-from rlat import (AXIOM_NAMES, FiniteInRL, Report, derived_operations,
-                  elementary_properties, find_isomorphism,
-                  subalgebra_generated, validate)
+from rlat import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
+                  find_isomorphism, subalgebra_generated, validate)
 from rlat.core import _is_semilattice
 from rlat.generate import boolean_algebra, build_an
 
@@ -198,14 +197,6 @@ class TestDerived:
         assert (a1.names[lo], a1.names[hi]) == ("bot", "top")
         lo, hi = a1.block_bounds(a1.element("0"))
         assert (a1.names[lo], a1.names[hi]) == ("0", "1")
-
-    def test_derived_operations_bundle(self, a1):
-        orders, ops = derived_operations(a1)
-        assert orders.lattice_leq == a1.lat_up
-        assert orders.monoidal_covers == a1.mon_covers
-        assert ops.zero == a1.zero
-        assert ops.meet == a1.meet
-        assert ops.residual == a1.imp
 
 
 class TestElementaryProperties:

@@ -27,9 +27,7 @@ class TestBooleanAlgebra:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            boolean_algebra(13)
-        with pytest.raises(ValueError):
-            boolean_algebra(3, cap=4)
+            boolean_algebra(SIZE_CAP.bit_length())
 
 
 class TestFamily:
@@ -67,5 +65,3 @@ class TestFamily:
     def test_cap(self):
         with pytest.raises(ValueError):
             build_an((SIZE_CAP - 6) // 4 + 1)
-        with pytest.raises(ValueError):
-            build_an(0, cap=5)

@@ -1,6 +1,8 @@
 import pytest
 
+from oracles import glued_order_failures
 from rlat import find_isomorphism, validate
+from rlat.decompose import find_atoms, split
 from rlat.generate import boolean_algebra, build_an
 from rlat.gluing import GluingSpec, glue, validate_gluing
 from rlat.props import is_distributive_semilattice, is_semilinear
@@ -112,11 +114,6 @@ class TestGlue:
         for z in range(lo.n):
             assert out.leq(z, out.zero) == lo.leq(z, lo.zero)
 
-    def test_check_flag_changes_nothing(self, sample_spec):
-        a = glue(sample_spec, check=True).result
-        b = glue(sample_spec, check=False).result
-        assert a == b
-
     def test_preserves_monoidal_distributivity(self, sample_spec):
         for spec in (chain_spec(), sample_spec):
             assert is_distributive_semilattice(spec.lower).holds
@@ -125,3 +122,31 @@ class TestGlue:
 
     def test_family_chain_matches_fixture(self, a1):
         assert find_isomorphism(build_an(1), a1) is not None
+
+
+class TestGluingTheorem:
+    """glue trusts the gluing theorem and checks nothing it builds; these
+    re-check its results on every spec at hand."""
+
+    def specs(self, a1, corpus6, sample_spec):
+        yield chain_spec()
+        yield sample_spec
+        subjects = ([a1] + list(corpus6.algebras)
+                    + [build_an(k) for k in range(4)])
+        for alg in subjects:
+            for c in find_atoms(alg):
+                s = split(alg, c)
+                assert validate(s.lower).ok
+                assert validate(s.upper).ok
+                yield s.spec
+
+    def test_glued_order_has_four_cases(self, a1, corpus6, sample_spec):
+        count = 0
+        for spec in self.specs(a1, corpus6, sample_spec):
+            assert validate_gluing(spec).ok
+            out = glue(spec).result
+            assert glued_order_failures(out, spec.lower, spec.upper, spec.a,
+                                        spec.b, spec.phi) == []
+            assert validate(out).ok
+            count += 1
+        assert count == 15   # two specs made by hand and 13 splits
