@@ -12,8 +12,8 @@ import sys
 from .congruence import congruence_lattice
 from .core import validate
 from .decompose import Leaf, decompose
-from .fileformat import (ParseError, build_spec, dot_export, emit,
-                         load_algebra, parse, parse_gluing, write_tree)
+from .fileformat import (TREE_ROOT, ParseError, build_spec, dot_export,
+                         emit, load_algebra, parse, parse_gluing, write_tree)
 from .generate import boolean_algebra, build_an
 from .gluing import glue, validate_gluing
 from .partition import partition
@@ -34,18 +34,19 @@ def _read_algebra(path):
     return load_algebra(path)
 
 
-def _checked(alg):
+def _checked(alg, what=None):
     """Validate or raise a _NotMember carrying the report lines."""
     rep = validate(alg)
     if not rep.ok:
-        raise _NotMember(rep)
+        raise _NotMember(rep, what)
     return alg
 
 
 class _NotMember(Exception):
-    def __init__(self, report):
+    def __init__(self, report, what):
         super().__init__("not a member")
         self.report = report
+        self.what = what
 
 
 def _cmd_check(args):
@@ -85,8 +86,10 @@ def _cmd_glue(args):
         with open(args.specfile, "r", encoding="utf-8") as fh:
             sf = parse_gluing(fh.read())
         base = os.path.dirname(os.path.realpath(args.specfile))
-    lower = _checked(load_algebra(os.path.join(base, sf.lower_ref)))
-    upper = _checked(load_algebra(os.path.join(base, sf.upper_ref)))
+    lower_path = os.path.join(base, sf.lower_ref)
+    upper_path = os.path.join(base, sf.upper_ref)
+    lower = _checked(load_algebra(lower_path), "lower operand " + lower_path)
+    upper = _checked(load_algebra(upper_path), "upper operand " + upper_path)
     spec = build_spec(sf, lower, upper)
     rep = validate_gluing(spec)
     if not rep.ok:
@@ -117,7 +120,7 @@ def _cmd_decompose(args):
         describe(node.lower, name + "0")
         describe(node.upper, name + "1")
 
-    describe(tree, "t")
+    describe(tree, TREE_ROOT)
     if args.out:
         for fname, _ in write_tree(tree, args.out):
             print("wrote %s" % fname)
@@ -125,12 +128,13 @@ def _cmd_decompose(args):
 
 
 def _cmd_reassemble(args):
-    for candidate in ("t.gspec", "t.rlat"):
-        root = os.path.join(args.dir, candidate)
+    for ext in (".gspec", ".rlat"):
+        root = os.path.join(args.dir, TREE_ROOT + ext)
         if os.path.exists(root):
             sys.stdout.write(emit(load_algebra(root)))
             return 0
-    print("error: no t.gspec or t.rlat in %s" % args.dir, file=sys.stderr)
+    print("error: no %s.gspec or %s.rlat in %s"
+          % (TREE_ROOT, TREE_ROOT, args.dir), file=sys.stderr)
     return 2
 
 
@@ -241,6 +245,8 @@ def run(argv=None):
     except _NotMember as exc:
         for line in exc.report.lines():
             print(line)
+        if exc.what:
+            print("error: %s is not a member" % exc.what, file=sys.stderr)
         return 1
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)

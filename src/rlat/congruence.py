@@ -27,10 +27,9 @@ class Congruence:
         return (self.relation[x] >> y) & 1 == 1
 
     def class_of(self, x):
-        for cls in self.classes:
-            if x in cls:
-                return cls
-        raise ValueError("element out of range")
+        if not 0 <= x < len(self.relation):
+            raise ValueError("element out of range")
+        return tuple(bits(self.relation[x]))
 
 
 @dataclass

@@ -143,8 +143,7 @@ class FiniteInRL:
     @cached_property
     def mon_up(self):
         # row x: elements above x in the monoidal order (x.y = x)
-        return tuple(mask_of(y for y in range(self.n) if self.fusion[x][y] == x)
-                     for x in range(self.n))
+        return _absorbed_masks(self.fusion)
 
     @cached_property
     def mon_dn(self):
@@ -184,6 +183,12 @@ class FiniteInRL:
         return self.fusion[x][self.neg[x]], self.join[x][self.neg[x]]
 
 
+def _absorbed_masks(table):
+    """Row x: the mask of {y : x op y = x}, the up-set of x when op is a meet."""
+    return tuple(mask_of(y for y, v in enumerate(row) if v == x)
+                 for x, row in enumerate(table))
+
+
 def _transpose(rows):
     n = len(rows)
     cols = [0] * n
@@ -196,14 +201,13 @@ def _transpose(rows):
 
 def _covers(up):
     """Cover pairs (x, y) of the preorder given by up-set masks."""
-    n = len(up)
     out = []
-    for x in range(n):
-        strict = up[x] & ~(1 << x)
-        for y in bits(strict):
+    for x, row in enumerate(up):
+        strict = above = row & ~(1 << x)
+        for z in bits(strict):
             # some z with x < z < y disqualifies the pair
-            if not any((up[z] >> y) & 1 for z in bits(strict & ~(1 << y))):
-                out.append((x, y))
+            above &= ~(up[z] & ~(1 << z))
+        out.extend((x, y) for y in bits(above))
     return tuple(out)
 
 
@@ -330,28 +334,18 @@ def elementary_properties(alg):
     rep = Report()
     mt, jn, fu, ng = alg.meet, alg.join, alg.fusion, alg.neg
 
-    w = None
-    for x in range(n):
-        for y in range(n):
-            if alg.leq(x, y) and not alg.leq(ng[y], ng[x]):
-                w = (x, y)
-                break
-        if w:
-            break
+    up, dn = alg.lat_up, alg.lat_dn
+    w = next(((x, y) for x in range(n) for y in bits(up[x])
+              if not (up[ng[y]] >> ng[x]) & 1), None)
     rep.add("negation antitone", w is None, w)
 
-    w = None
-    for x in range(n):
-        for y in range(n):
-            m = mt[x][y]
-            lower = alg.leq(m, x) and alg.leq(m, y)
-            greatest = all(alg.leq(z, m) for z in range(n)
-                           if alg.leq(z, x) and alg.leq(z, y))
-            if not (lower and greatest):
-                w = (x, y)
-                break
-        if w:
-            break
+    def infimum(x, y):
+        # meet(x, y) is a common lower bound above every common lower bound
+        common, m = dn[x] & dn[y], mt[x][y]
+        return (common >> m) & 1 and not common & ~dn[m]
+
+    w = next(((x, y) for x in range(n) for y in range(n)
+              if not infimum(x, y)), None)
     rep.add("meet is the lattice infimum", w is None, w)
 
     w = next(((x, y) for x in range(n) for y in range(n)

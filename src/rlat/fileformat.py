@@ -17,6 +17,9 @@ from .gluing import GluingSpec, _glue, validate_gluing
 
 _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 
+# name of the root of a decomposition tree written by write_tree
+TREE_ROOT = "t"
+
 
 class ParseError(Exception):
     def __init__(self, lineno, message):
@@ -200,12 +203,12 @@ def build_spec(spec_file, lower, upper):
     return GluingSpec(lower, upper, a, b, phi)
 
 
-def write_tree(tree, outdir, prefix="t"):
+def write_tree(tree, outdir):
     """Write a decomposition tree as one file per leaf and per node.
 
-    A leaf at name p becomes p.rlat; a node becomes p.gspec referencing its
-    children p0 and p1. Returns the list of (filename, kind) written, root
-    first.
+    The root is named TREE_ROOT. A leaf at name p becomes p.rlat; a node
+    becomes p.gspec referencing its children p0 and p1. Returns the list of
+    (filename, kind) written, root first.
     """
     from .decompose import Leaf
 
@@ -234,7 +237,7 @@ def write_tree(tree, outdir, prefix="t"):
             fh.write(emit_gluing(sf))
         return fname
 
-    emit_node(tree, prefix)
+    emit_node(tree, TREE_ROOT)
     return written
 
 

@@ -4,7 +4,7 @@ semilinearity. Each verdict carries the least counterexample when it fails.
 
 from dataclasses import dataclass
 
-from .core import bits
+from .core import _absorbed_masks, _transpose, bits
 
 
 @dataclass(frozen=True)
@@ -19,34 +19,32 @@ def distributive_semilattice_table(meet):
     Condition: whenever meet(x, y) is below z, some x' above x and y' above y
     satisfy meet(x', y') = z. Orders and bounds are read off the table alone.
     """
-    n = len(meet)
-    up = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if meet[x][y] == x:
-                up[x] |= 1 << y
-    # factor[z][x]: targets y' completing some x' above x to meet(x',y') = z
-    factor = [[0] * n for _ in range(n)]
-    for xp in range(n):
-        row = meet[xp]
-        for yp in range(n):
-            z = row[yp]
-            fz = factor[z]
-            for x in range(n):
-                if (up[x] >> xp) & 1:
-                    fz[x] |= 1 << yp
-    for x in range(n):
-        for y in range(n):
-            below = up[meet[x][y]]
-            for z in bits(below):
-                if not factor[z][x] & up[y]:
-                    return PropertyVerdict(False, (x, y, z))
-    return PropertyVerdict(True)
+    up = _absorbed_masks(meet)
+    return _distributive(meet, up, _transpose(up))
 
 
 def is_distributive_semilattice(alg):
     """Distributivity of the monoidal semilattice of a validated algebra."""
-    return distributive_semilattice_table(alg.fusion)
+    return _distributive(alg.fusion, alg.mon_up, alg.mon_dn)
+
+
+def _distributive(meet, up, dn):
+    # up[x]: the mask of {y : meet(x, y) = x}; dn: its transpose
+    n = len(meet)
+    # factor[z][x]: targets y' completing some x' above x to meet(x',y') = z
+    factor = [[0] * n for _ in range(n)]
+    for xp in range(n):
+        row, below = meet[xp], list(bits(dn[xp]))
+        for yp in range(n):
+            fz, bit = factor[row[yp]], 1 << yp
+            for x in below:
+                fz[x] |= bit
+    for x in range(n):
+        for y in range(n):
+            for z in bits(up[meet[x][y]]):
+                if not factor[z][x] & up[y]:
+                    return PropertyVerdict(False, (x, y, z))
+    return PropertyVerdict(True)
 
 
 def is_lattice_distributive(alg):

@@ -10,17 +10,17 @@ commutes with the involution. Minimizing the tables over that permutation
 group is therefore a complete isomorph rejector.
 
 Search: fusion tables are filled cell by cell with incremental associativity
-checks; each complete fusion induces candidate lattice orders parametrized
-by the down-set D of zero (x <= y iff x . neg(y) lies in D), and the full
-axiom checker is the final filter.
+checks; each complete fusion induces one candidate lattice order (see
+_orders_for_fusion), and the full axiom checker is the final filter.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .core import FiniteInRL, bits, validate
+from .core import FiniteInRL, bits, mask_of, validate
 
-DEFAULT_CAP = 8
+# the largest size `rlat enum` finishes in under a minute
+SIZE_CAP = 7
 
 
 @dataclass
@@ -30,11 +30,12 @@ class Corpus:
     counts: dict
 
 
-def enumerate_up_to_iso(max_size, cap=DEFAULT_CAP):
+def enumerate_up_to_iso(max_size):
     if max_size < 1:
         raise ValueError("size bound must be positive")
-    if max_size > cap:
-        raise ValueError("size bound %d exceeds cap %d" % (max_size, cap))
+    if max_size > SIZE_CAP:
+        raise ValueError("size bound %d exceeds cap %d"
+                         % (max_size, SIZE_CAP))
     algebras = []
     counts = {}
     for n in range(1, max_size + 1):
@@ -119,60 +120,44 @@ def _enumerate_size(n):
 
 
 def _orders_for_fusion(n, names, neg, fusion, perms, found):
-    base = 0
+    # The fusion fixes the order. In a member x <= y iff x . neg(y) <= 0,
+    # and the elements below 0 are exactly the block bottoms x . neg(x):
+    # if z <= 0 then 1 <= neg(z), so z <= z . neg(z) <= 0, and
+    # z . neg(z) . neg(z) = z . neg(z) <= 0 gives z . neg(z) <= z. So the
+    # down-set of 0 is D = {x . neg(x)}; verify_partition's "skeleton is
+    # the down-set of zero" checks this on the corpus.
+    d = 0
     for x in range(n):
-        base |= 1 << fusion[x][neg[x]]
-    free = [x for x in range(n) if not (base >> x) & 1]
-    for pick in range(1 << len(free)):
-        d = base
-        for t, x in enumerate(free):
-            if (pick >> t) & 1:
-                d |= 1 << x
-        up = [0] * n
-        for x in range(n):
-            row = 0
-            fx = fusion[x]
-            for y in range(n):
-                if (d >> fx[neg[y]]) & 1:
-                    row |= 1 << y
-            up[x] = row
-        if not _is_order_with_joins(n, up):
-            continue
-        join = _join_table(n, up)
-        if join is None:
-            continue
-        alg = FiniteInRL(names, 0, list(neg),
-                         [row[:] for row in join],
-                         [row[:] for row in fusion])
-        if not validate(alg).ok:
-            continue
-        key, canon = _canonicalize(n, names, neg, join, fusion, perms)
-        if key not in found:
-            found[key] = canon
-
-
-def _is_order_with_joins(n, up):
-    for x in range(n):
-        row = up[x]
-        for y in bits(row):
-            if y != x and (up[y] >> x) & 1:
-                return False          # antisymmetry
-            if up[y] & ~row:
-                return False          # transitivity
-    return True
+        d |= 1 << fusion[x][neg[x]]
+    up = [mask_of(y for y in range(n) if (d >> fusion[x][neg[y]]) & 1)
+          for x in range(n)]
+    join = _join_table(n, up)
+    if join is None:
+        return
+    # FiniteInRL copies the tables, so fusion stays free to refill
+    if not validate(FiniteInRL(names, 0, neg, join, fusion)).ok:
+        return
+    key, canon = _canonicalize(n, names, neg, join, fusion, perms)
+    if key not in found:
+        found[key] = canon
 
 
 def _join_table(n, up):
+    """The join table of the reflexive relation up, or None unless up is a
+    partial order with all joins."""
+    # transitive when each up-set holds the up-sets of its elements, and
+    # then antisymmetric when the up-sets are distinct
+    if any(up[y] & ~row for row in up for y in bits(row)):
+        return None
+    least = {mask: z for z, mask in enumerate(up)}
+    if len(least) < n:
+        return None
+    # the join of x and y is the element whose up-set is their common up-set
     join = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
-            common = up[x] & up[y]
-            m = -1
-            for z in bits(common):
-                if up[z] == common:
-                    m = z
-                    break
-            if m < 0:
+            m = least.get(up[x] & up[y])
+            if m is None:
                 return None
             join[x][y] = join[y][x] = m
     return join

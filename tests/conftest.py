@@ -37,3 +37,34 @@ def sample_spec():
 def naive4():
     from oracles import naive_enumerate
     return naive_enumerate(4)
+
+
+@pytest.fixture(scope="session")
+def order_corpus(a1, corpus6):
+    """Members and non-members for checks that read the order masks: a1 and
+    its symmetric single-cell join or fusion mutants (cells x <= y), the
+    same mutants of build_an(1) and boolean_algebra(3), the size-6 corpus,
+    build_an(0..3) and boolean_algebra(0..3)."""
+    from rlat import FiniteInRL
+    from rlat.generate import boolean_algebra, build_an
+    out = [a1]
+    for alg in (a1, build_an(1), boolean_algebra(3)):
+        n = alg.n
+        for label in ("join", "fusion"):
+            base = getattr(alg, label)
+            for x in range(n):
+                for y in range(x, n):
+                    for v in range(n):
+                        if v == base[x][y]:
+                            continue
+                        t = [row[:] for row in base]
+                        t[x][y] = t[y][x] = v
+                        tables = {"join": alg.join, "fusion": alg.fusion,
+                                  label: t}
+                        out.append(FiniteInRL(alg.names, alg.one, alg.neg,
+                                              tables["join"],
+                                              tables["fusion"]))
+    out.extend(corpus6.algebras)
+    out.extend(build_an(k) for k in range(4))
+    out.extend(boolean_algebra(k) for k in range(4))
+    return out

@@ -89,6 +89,53 @@ def scan_axioms(one, neg, join, fusion):
     return out
 
 
+def negation_antitone_witness(join, neg):
+    """First (x, y) with x <= y but not neg y <= neg x, or None."""
+    n = len(neg)
+    for x in range(n):
+        for y in range(n):
+            if join[x][y] == y and join[neg[y]][neg[x]] != neg[x]:
+                return (x, y)
+    return None
+
+
+def meet_infimum_witness(join, meet):
+    """First (x, y) where meet(x, y) is not the greatest lower bound of x
+    and y in the order u <= v iff u v v = v, or None."""
+    n = len(join)
+
+    def leq(u, v):
+        return join[u][v] == v
+
+    for x in range(n):
+        for y in range(n):
+            m = meet[x][y]
+            if not (leq(m, x) and leq(m, y)):
+                return (x, y)
+            for z in range(n):
+                if leq(z, x) and leq(z, y) and not leq(z, m):
+                    return (x, y)
+    return None
+
+
+def semilattice_distributivity_witness(meet):
+    """First (x, y, z) with meet(x, y) <= z such that no x' >= x and
+    y' >= y have meet(x', y') = z, or None; u <= v iff meet(u, v) = u."""
+    n = len(meet)
+    above = [[v for v in range(n) if meet[u][v] == u] for u in range(n)]
+    for x in range(n):
+        for y in range(n):
+            m = meet[x][y]
+            reached = set()
+            for xp in above[x]:
+                for yp in above[y]:
+                    reached.add(meet[xp][yp])
+            for z in range(n):
+                if meet[m][z] == m and z not in reached:
+                    return (x, y, z)
+    return None
+
+
 def naive_isomorphic(a, b):
     """Try every permutation; usable only for tiny carriers."""
     if a.n != b.n:

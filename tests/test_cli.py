@@ -1,4 +1,5 @@
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,28 @@ class TestGlue:
         code, out, _ = invoke(capsys, "glue", str(spec))
         assert code == 1
         assert "a is not below the lower zero: FAIL" in out
+
+    @pytest.mark.parametrize("role", ["lower", "upper"])
+    def test_non_member_operand_is_named(self, capsys, fixdir, tmp_path,
+                                         role):
+        for name in ("sample.gspec", "sample_lower.rlat",
+                     "sample_upper.rlat"):
+            shutil.copy(fixdir / name, tmp_path / name)
+        path = tmp_path / ("sample_%s.rlat" % role)
+        alg = parse(path.read_text(encoding="utf-8"))
+        fusion = [row[:] for row in alg.fusion]
+        fusion[0][1] = fusion[1][0] = 2 if fusion[0][1] != 2 else 3
+        bad = FiniteInRL(alg.names, alg.one, alg.neg, alg.join, fusion)
+        rep = validate(bad)
+        assert not rep.ok
+        path.write_text(emit(bad), encoding="utf-8")
+        spec = str(tmp_path / "sample.gspec")
+        code, out, err = invoke(capsys, "glue", spec)
+        # the report lines and exit 1 as before, and the operand on stderr
+        assert code == 1
+        assert out == "".join(line + "\n" for line in rep.lines())
+        assert err == "error: %s operand %s is not a member\n" % (
+            role, os.path.join(os.path.realpath(tmp_path), path.name))
 
     def test_deep_chain_to_missing_file_exits_two(self, capsys, tmp_path):
         # deeper than the interpreter's default recursion limit

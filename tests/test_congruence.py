@@ -167,6 +167,15 @@ class TestQuotient:
         assert q.n == 1
         assert validate(q).ok
 
+    def test_class_of_is_the_class_holding_x(self, a1, corpus6):
+        for alg in [a1] + list(corpus6.algebras):
+            for theta in congruence_lattice(alg).congruences:
+                for x in range(alg.n):
+                    assert theta.class_of(x) == next(
+                        cls for cls in theta.classes if x in cls)
+                with pytest.raises(ValueError):
+                    theta.class_of(-1)
+
     def test_related_and_class_of(self, a1):
         con = congruence_lattice(a1)
         theta = con.congruences[con.generators.index(a1.one)]

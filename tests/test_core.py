@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import naive_isomorphic, scan_axioms
+from oracles import (meet_infimum_witness, naive_isomorphic,
+                     negation_antitone_witness, scan_axioms)
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
                   find_isomorphism, subalgebra_generated, validate)
 from rlat.core import _is_semilattice
@@ -207,6 +208,26 @@ class TestElementaryProperties:
     def test_hold_on_corpus(self, corpus6):
         for alg in corpus6.algebras:
             assert elementary_properties(alg).ok
+
+    def test_order_checks_match_oracles(self, order_corpus):
+        # the two checks that read the order masks, on members and
+        # non-members alike: same verdict, same first witness
+        failed = {"negation antitone": 0, "meet is the lattice infimum": 0}
+        for alg in order_corpus:
+            rep = elementary_properties(alg)
+            expect = {
+                "negation antitone":
+                    negation_antitone_witness(alg.join, alg.neg),
+                "meet is the lattice infimum":
+                    meet_infimum_witness(alg.join, alg.meet),
+            }
+            for name, ok, witness in rep.checks:
+                if name in expect:
+                    assert (ok, witness) == (expect[name] is None,
+                                             expect[name]), (name, alg)
+                    failed[name] += not ok
+        assert failed == {"negation antitone": 926,
+                          "meet is the lattice infimum": 1224}
 
     def test_fusion_between_meet_and_join(self, a1):
         for x in range(a1.n):
