@@ -108,15 +108,8 @@ def _cmd_decompose(args):
         if isinstance(node, Leaf):
             print("leaf %s: %d elements" % (name, node.algebra.n))
             return
-        s = node.split
-        lo, up = s.spec.lower, s.spec.upper
-        # the split atom is the lower unit; the complement's negation is
-        # the monoidal least element of the upper factor
-        least = next(z for z in range(up.n)
-                     if up.mon_up[z] == (1 << up.n) - 1)
         print("node %s: atom=%s complement=%s a=%s b=%s"
-              % (name, lo.names[lo.one], up.names[up.neg[least]],
-                 lo.names[s.spec.a], up.names[s.spec.b]))
+              % (name, node.atom, node.complement, node.a, node.b))
         describe(node.lower, name + "0")
         describe(node.upper, name + "1")
 

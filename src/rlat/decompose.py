@@ -4,11 +4,14 @@ For an atom c there is a unique c* in the positive cone whose monoidal up-set
 complements the monoidal down-set of c inside the cone. The down-set of c
 (with unit c) and the up-set of neg(c*) (with the original unit) are the two
 gluing factors, and the connecting map is term-defined from c and c*.
+Both keep the operations of the algebra and change only the unit, so a part
+of a decomposition tree is the input on an id set, with its masks ANDed.
 """
 
 from dataclasses import dataclass
 
 from .core import FiniteInRL, bits, check_member
+from .fileformat import build_spec
 from .gluing import GluingSpec, _glue, check_ingredients
 
 
@@ -22,7 +25,7 @@ class SplitResult:
 
 
 class DecompositionTree:
-    """Leaf (one Boolean algebra) or Node (a SplitResult plus two subtrees)."""
+    """Leaf (one Boolean algebra) or Node (a split plus two subtrees)."""
 
     def leaves(self):
         if isinstance(self, Leaf):
@@ -39,25 +42,30 @@ class Leaf(DecompositionTree):
 
 @dataclass
 class Node(DecompositionTree):
-    split: SplitResult
+    """A split, by the element names of the input."""
+    atom: str          # c, the lower unit
+    complement: str    # c*
+    a: str
+    b: str
+    pairs: tuple       # phi as (lower name, upper name), by input id
     lower: DecompositionTree
     upper: DecompositionTree
 
 
 def find_atoms(alg):
     """Elements of the positive cone covering the unit in the lattice order."""
-    one = alg.one
-    out = []
-    for c in bits(alg.pos_cone & ~(1 << one)):
-        between = (alg.lat_up[one] & alg.lat_dn[c]
-                   & ~(1 << one) & ~(1 << c))
-        if not between:
-            out.append(c)
-    return out
+    return _atoms(alg, (1 << alg.n) - 1, alg.one)
+
+
+def _atoms(alg, ids, one):
+    """The atoms of the part of alg on the id mask ids with unit one."""
+    above = alg.lat_up[one] & ids & ~(1 << one)
+    return [c for c in bits(above) if not above & alg.lat_dn[c] & ~(1 << c)]
 
 
 def _restrict(alg, ids, one):
-    """Subalgebra on ids (sorted) with the given unit; names carry over."""
+    """Subalgebra on the id mask ids with the given unit; names carry over."""
+    ids = list(bits(ids))
     pos = {g: i for i, g in enumerate(ids)}
     names = [alg.names[g] for g in ids]
     neg = [pos[alg.neg[g]] for g in ids]
@@ -67,63 +75,72 @@ def _restrict(alg, ids, one):
 
 
 def split(alg, c):
-    """Split a member at atom c; raises ValueError on a non-member or a
-    non-atom."""
+    """Split a member at atom c; raises ValueError on a non-member, an id
+    out of range or a non-atom."""
     check_member(alg)
+    if not 0 <= c < alg.n:
+        raise ValueError("no element has id %r: ids run from 0 to %d"
+                         % (c, alg.n - 1))
     if c not in find_atoms(alg):
         raise ValueError("%s is not an atom of the positive cone"
                          % alg.names[c])
-    return _split(alg, c)
-
-
-def _split(alg, c):
-    """Split a member at an atom; the factors are members and the spec is
-    valid by the decomposition theorem, so neither is checked again."""
-    pos = alg.pos_cone
-    low_cone = pos & alg.mon_dn[c]
-    c_star = next(cs for cs in bits(pos)
-                  if (low_cone | (pos & alg.mon_up[cs])) == pos
-                  and not (low_cone & alg.mon_up[cs]))
-    neg_cs = alg.neg[c_star]
-
-    lower_ids = list(bits(alg.mon_dn[c]))
-    upper_ids = list(bits(alg.mon_up[neg_cs]))
-    lower = _restrict(alg, lower_ids, one=c)
-    upper = _restrict(alg, upper_ids, one=alg.one)
-
-    a_g = alg.fusion[c][neg_cs]
-    na_g = alg.neg[a_g]
-    b_g = alg.join[alg.meet[c][na_g]][neg_cs]
-    lo_pos = {g: i for i, g in enumerate(lower_ids)}
-    up_pos = {g: i for i, g in enumerate(upper_ids)}
-    phi = {lo_pos[x]: up_pos[alg.join[alg.meet[x][na_g]][neg_cs]]
-           for x in bits(alg.mon_up[a_g] & alg.mon_dn[c])}
-    spec = GluingSpec(lower, upper, lo_pos[a_g], up_pos[b_g], phi)
+    c_star, lower_ids, upper_ids, a, b, phi = _split(
+        alg, (1 << alg.n) - 1, alg.one, c)
+    lower = _restrict(alg, lower_ids, c)
+    upper = _restrict(alg, upper_ids, alg.one)
+    lo, up, names = lower.index, upper.index, alg.names
+    spec = GluingSpec(lower, upper, lo[names[a]], up[names[b]],
+                      {lo[names[x]]: up[names[y]] for x, y in phi})
     return SplitResult(c, c_star, lower, upper, spec)
+
+
+def _split(alg, ids, one, c):
+    """Split the part of a member on the id mask ids with unit one at its
+    atom c: c*, the id masks of the two factors, a, b and phi as (x, phi x)
+    pairs by x, in alg's ids. The factors are members and the spec is valid
+    by the decomposition theorem, so neither is checked."""
+    mon_up, mon_dn = alg.mon_up, alg.mon_dn
+    pos = alg.lat_up[one] & ids
+    low_cone = pos & mon_dn[c]
+    c_star = next(cs for cs in bits(pos)
+                  if (low_cone | (pos & mon_up[cs])) == pos
+                  and not (low_cone & mon_up[cs]))
+    neg_cs = alg.neg[c_star]
+    lower = mon_dn[c] & ids
+    a = alg.fusion[c][neg_cs]
+    na, meet, join = alg.neg[a], alg.meet, alg.join
+    return (c_star, lower, mon_up[neg_cs] & ids, a, join[meet[c][na]][neg_cs],
+            [(x, join[meet[x][na]][neg_cs]) for x in bits(mon_up[a] & lower)])
 
 
 def decompose(alg):
     """Recursive splitting down to Boolean leaves; atoms chosen by least id.
 
-    Raises ValueError if alg is not a member.
+    Raises ValueError if alg is not a member. An atomless member is its own
+    leaf; every other leaf is one restriction of alg.
     """
     check_member(alg)
-    return _decompose(alg)
+    return _decompose(alg, (1 << alg.n) - 1, alg.one)
 
 
-def _decompose(alg):
-    atoms = find_atoms(alg)
+def _decompose(alg, ids, one):
+    atoms = _atoms(alg, ids, one)
     if not atoms:
-        return Leaf(alg)
-    s = _split(alg, atoms[0])
-    return Node(s, _decompose(s.lower), _decompose(s.upper))
+        whole = ids == (1 << alg.n) - 1
+        return Leaf(alg if whole else _restrict(alg, ids, one))
+    c = atoms[0]
+    c_star, lower, upper, a, b, phi = _split(alg, ids, one, c)
+    names = alg.names
+    return Node(names[c], names[c_star], names[a], names[b],
+                tuple((names[x], names[y]) for x, y in phi),
+                _decompose(alg, lower, c), _decompose(alg, upper, one))
 
 
 def reassemble(tree):
     """Fold glue over the tree; inverse of decompose up to isomorphism.
 
-    Every leaf must be a member and every node's spec must pass
-    validate_gluing once rebased onto its reassembled factors; raises
+    Every leaf must be a member and every node's names must resolve in its
+    reassembled factors to a spec that passes validate_gluing; raises
     ValueError otherwise.
     """
     if isinstance(tree, Leaf):
@@ -131,16 +148,6 @@ def reassemble(tree):
         return tree.algebra
     lower = reassemble(tree.lower)
     upper = reassemble(tree.upper)
-    spec = _remap_spec(tree.split.spec, lower, upper)
+    spec = build_spec(tree, lower, upper)
     check_ingredients(spec)
     return _glue(spec)
-
-
-def _remap_spec(spec, lower, upper):
-    """Rebase a spec onto reassembled factors, matching elements by name."""
-    old_lo, old_up = spec.lower, spec.upper
-    a = lower.element(old_lo.names[spec.a])
-    b = upper.element(old_up.names[spec.b])
-    phi = {lower.element(old_lo.names[x]): upper.element(old_up.names[y])
-           for x, y in spec.phi.items()}
-    return GluingSpec(lower, upper, a, b, phi)

@@ -191,7 +191,8 @@ def load_algebra(path):
 
 
 def build_spec(spec_file, lower, upper):
-    """Resolve a parsed spec file's tokens against its two loaded algebras."""
+    """Resolve the names a, b and pairs of a parsed spec file, or of a
+    decomposition tree node, against its two algebras."""
     a = lower.element(spec_file.a)
     b = upper.element(spec_file.b)
     phi = {}
@@ -223,16 +224,11 @@ def write_tree(tree, outdir):
                 fh.write(emit(node.algebra))
             written.append((fname, "leaf"))
             return fname
-        spec = node.split.spec
         fname = name + ".gspec"
         written.append((fname, "node"))
         lower_ref = emit_node(node.lower, name + "0")
         upper_ref = emit_node(node.upper, name + "1")
-        pairs = tuple((spec.lower.names[x], spec.upper.names[y])
-                      for x, y in sorted(spec.phi.items()))
-        sf = GluingSpecFile(lower_ref, upper_ref,
-                            spec.lower.names[spec.a],
-                            spec.upper.names[spec.b], pairs)
+        sf = GluingSpecFile(lower_ref, upper_ref, node.a, node.b, node.pairs)
         with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
             fh.write(emit_gluing(sf))
         return fname

@@ -4,7 +4,7 @@ semilinearity. Each verdict carries the least counterexample when it fails.
 
 from dataclasses import dataclass
 
-from .core import _absorbed_masks, _transpose, bits
+from .core import _absorbed_masks, _transpose, bits, check_member
 
 
 @dataclass(frozen=True)
@@ -19,18 +19,9 @@ def distributive_semilattice_table(meet):
     Condition: whenever meet(x, y) is below z, some x' above x and y' above y
     satisfy meet(x', y') = z. Orders and bounds are read off the table alone.
     """
-    up = _absorbed_masks(meet)
-    return _distributive(meet, up, _transpose(up))
-
-
-def is_distributive_semilattice(alg):
-    """Distributivity of the monoidal semilattice of a validated algebra."""
-    return _distributive(alg.fusion, alg.mon_up, alg.mon_dn)
-
-
-def _distributive(meet, up, dn):
-    # up[x]: the mask of {y : meet(x, y) = x}; dn: its transpose
     n = len(meet)
+    up = _absorbed_masks(meet)   # up[x]: the mask of {y : meet(x, y) = x}
+    dn = _transpose(up)
     # factor[z][x]: targets y' completing some x' above x to meet(x',y') = z
     factor = [[0] * n for _ in range(n)]
     for xp in range(n):
@@ -44,6 +35,14 @@ def _distributive(meet, up, dn):
             for z in bits(up[meet[x][y]]):
                 if not factor[z][x] & up[y]:
                     return PropertyVerdict(False, (x, y, z))
+    return PropertyVerdict(True)
+
+
+def is_distributive_semilattice(alg):
+    """Distributivity of the monoidal semilattice of a member: it holds, by
+    the paper's last theorem (the fusion reduct of every finite member is a
+    distributive semilattice). Raises ValueError on a non-member."""
+    check_member(alg)
     return PropertyVerdict(True)
 
 

@@ -18,7 +18,7 @@ from rlat.generate import build_an
 from rlat.gluing import glue
 from rlat.partition import (join_incompatibility_witness, partition,
                             verify_partition)
-from rlat.props import (is_distributive_semilattice,
+from rlat.props import (distributive_semilattice_table,
                         is_lattice_distributive, is_semilinear)
 
 
@@ -174,10 +174,10 @@ def test_criterion_06_congruence_theorem(corpus6):
 def test_criterion_07_distributive_semilattice(corpus6):
     failures = []
     for i, alg in enumerate(corpus6.algebras):
-        if not is_distributive_semilattice(alg).holds:
+        if not distributive_semilattice_table(alg.fusion).holds:
             failures.append("corpus %d/%s fails" % (alg.n, i))
     for n in range(7):
-        if not is_distributive_semilattice(build_an(n)).holds:
+        if not distributive_semilattice_table(build_an(n).fusion).holds:
             failures.append("an(%d) fails" % n)
     _verdict(7, "distributive monoidal semilattice", failures)
 
@@ -268,9 +268,9 @@ def _split_failures(alg):
         for z in range(lo.n):
             if glued.leq(z, glued.zero) != lo.leq(z, lo.zero):
                 out.append("glued zero at atom %s" % alg.names[c])
-        if (is_distributive_semilattice(lo).holds
-                and is_distributive_semilattice(up).holds
-                and not is_distributive_semilattice(glued).holds):
+        if (distributive_semilattice_table(lo.fusion).holds
+                and distributive_semilattice_table(up.fusion).holds
+                and not distributive_semilattice_table(glued.fusion).holds):
             out.append("distributivity lost at atom %s" % alg.names[c])
     return out
 

@@ -13,6 +13,7 @@ from rlat.decompose import Leaf, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra
 from rlat.gluing import GluingSpec, glue
 from rlat.partition import partition
+from rlat.props import is_distributive_semilattice
 
 
 def rejected_mutants(alg):
@@ -61,6 +62,7 @@ def entry_points(a1):
         "congruence_from_filter": lambda m: congruence_from_filter(m, f),
         "quotient": lambda m: quotient(m, theta),
         "reassemble": lambda m: reassemble(Leaf(m)),
+        "is_distributive_semilattice": is_distributive_semilattice,
     }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import shutil
@@ -220,6 +221,31 @@ class TestDecomposeReassemble:
             path.write_text(text, encoding="utf-8")
         # every ordered cell (x, y), each other value: 4 + 48 + 48
         assert count == 100
+
+    def test_output_unchanged(self, capsys, a1, corpus6, tmp_path):
+        # pins, byte for byte, `decompose --out` stdout and files,
+        # `reassemble` stdout and the emitted leaves of the library's tree
+        from rlat.decompose import decompose
+        algebras = ([a1] + list(corpus6.algebras)
+                    + [build_an(k) for k in range(6)]
+                    + [boolean_algebra(k) for k in range(4)])
+        digest = hashlib.sha256()
+        for i, alg in enumerate(algebras):
+            src, out_dir = tmp_path / ("%d.rlat" % i), tmp_path / str(i)
+            src.write_text(emit(alg), encoding="utf-8")
+            for argv in (("decompose", str(src), "--out", str(out_dir)),
+                         ("reassemble", str(out_dir))):
+                code, out, err = invoke(capsys, *argv)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+            for path in sorted(out_dir.iterdir()):
+                digest.update(path.name.encode() + b"\0"
+                              + path.read_bytes())
+            for leaf in decompose(alg).leaves():
+                digest.update(emit(leaf.algebra).encode())
+        assert len(algebras) == 22
+        assert digest.hexdigest() == \
+            "19f11d20ce1d89fb978390a14818ff0a8764dc0566674fc2982ae41ccae01f41"
 
     def test_reassemble_empty_dir(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))

@@ -1,6 +1,6 @@
 import pytest
 
-from rlat import validate
+from rlat import FiniteInRL, validate
 from rlat.core import bits
 from rlat.decompose import Leaf, Node, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra, build_an
@@ -85,6 +85,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(a1, a1.one)
 
+    @pytest.mark.parametrize("c", [-1, 10, 11])
+    def test_id_out_of_range_rejected(self, a1, c):
+        with pytest.raises(ValueError, match="no element has id %d" % c):
+            split(a1, c)
+
 
 class TestDecompose:
     def test_boolean_is_a_leaf(self):
@@ -94,7 +99,7 @@ class TestDecompose:
     def test_fixture_tree(self, a1):
         tree = decompose(a1)
         assert isinstance(tree, Node)
-        assert a1.names[tree.split.c] == "c"
+        assert tree.atom == "c"
         assert sorted(l.algebra.n for l in tree.leaves()) == [2, 4, 4]
 
     def test_leaves_are_single_blocks(self, a1, corpus6):
@@ -106,6 +111,39 @@ class TestDecompose:
         for alg in corpus6.algebras:
             tree = decompose(alg)
             assert len(list(tree.leaves())) == len(partition(alg).blocks)
+
+    def test_one_algebra_built_per_leaf(self, a1, monkeypatch):
+        built = []
+        init = FiniteInRL.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(FiniteInRL, "__init__", counting)
+        for alg, leaves in ((a1, 3), (build_an(16), 18)):
+            del built[:]
+            tree = decompose(alg)
+            assert [id(l.algebra) for l in tree.leaves()] == list(
+                map(id, built))
+            assert len(built) == leaves
+        # an atomless member is its own leaf
+        alg = boolean_algebra(3)
+        del built[:]
+        assert decompose(alg).algebra is alg and built == []
+
+    def test_root_names_are_the_split(self, a1, corpus6):
+        seen = [a1] + [build_an(k) for k in range(4)] + [
+            g for g in corpus6.algebras if find_atoms(g)]
+        for alg in seen:
+            tree = decompose(alg)
+            s = split(alg, find_atoms(alg)[0])
+            lo, up = s.spec.lower, s.spec.upper
+            assert (tree.atom, tree.complement, tree.a, tree.b) == (
+                alg.names[s.c], alg.names[s.c_star], lo.names[s.spec.a],
+                up.names[s.spec.b])
+            assert tree.pairs == tuple((lo.names[x], up.names[y])
+                                       for x, y in sorted(s.spec.phi.items()))
 
 
 class TestReassemble:
@@ -119,7 +157,7 @@ class TestReassemble:
             name_map_isomorphism(rebuilt, alg)
 
     def test_family_round_trip(self):
-        for n in range(4):
+        for n in (0, 1, 2, 3, 16):
             alg = build_an(n)
             rebuilt = reassemble(decompose(alg))
             name_map_isomorphism(rebuilt, alg)

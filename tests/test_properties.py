@@ -1,4 +1,7 @@
+import pytest
+
 from oracles import semilattice_distributivity_witness
+from rlat import validate
 from rlat.generate import boolean_algebra, build_an
 from rlat.props import (distributive_semilattice_table,
                         is_distributive_semilattice,
@@ -27,13 +30,13 @@ class TestSemilatticeDistributivity:
                     assert mt[xp][yp] != z
 
     def test_holds_on_fixture_and_family(self, a1):
-        assert is_distributive_semilattice(a1).holds
+        assert distributive_semilattice_table(a1.fusion).holds
         for n in range(5):
-            assert is_distributive_semilattice(build_an(n)).holds
+            assert distributive_semilattice_table(build_an(n).fusion).holds
 
     def test_holds_on_corpus(self, corpus6):
         for alg in corpus6.algebras:
-            v = is_distributive_semilattice(alg)
+            v = distributive_semilattice_table(alg.fusion)
             assert v.holds and v.witness is None
 
     def test_matches_oracle(self, a1, order_corpus):
@@ -47,9 +50,14 @@ class TestSemilatticeDistributivity:
                 w = semilattice_distributivity_witness(table)
                 assert (v.holds, v.witness) == (w is None, w), (label, alg)
                 failed[label] += not v.holds
-            # the cached monoidal masks give the table's own verdict
-            assert is_distributive_semilattice(alg) == \
-                distributive_semilattice_table(alg.fusion)
+            # a member's verdict is the table's, by the paper's theorem;
+            # a non-member is rejected
+            if validate(alg).ok:
+                assert is_distributive_semilattice(alg) == \
+                    distributive_semilattice_table(alg.fusion)
+            else:
+                with pytest.raises(ValueError, match="fails axiom"):
+                    is_distributive_semilattice(alg)
         assert not distributive_semilattice_table(a1.meet).holds
         assert failed == {"fusion": 686, "meet": 2159}
 
