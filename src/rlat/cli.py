@@ -10,12 +10,12 @@ import os
 import sys
 
 from .congruence import congruence_lattice
-from .core import validate
+from .core import Rejected, check_member, validate
 from .decompose import Leaf, decompose
 from .fileformat import (TREE_ROOT, ParseError, build_spec, dot_export,
                          emit, load_algebra, parse, parse_gluing, write_tree)
 from .generate import boolean_algebra, build_an
-from .gluing import glue, validate_gluing
+from .gluing import glue
 from .partition import partition
 from .props import (is_distributive_semilattice, is_lattice_distributive,
                     is_semilinear)
@@ -31,22 +31,10 @@ _PROPS = {
 def _read_algebra(path):
     if path == "-":
         return parse(sys.stdin.read())
-    return load_algebra(path)
-
-
-def _checked(alg, what=None):
-    """Validate or raise a _NotMember carrying the report lines."""
-    rep = validate(alg)
-    if not rep.ok:
-        raise _NotMember(rep, what)
-    return alg
-
-
-class _NotMember(Exception):
-    def __init__(self, report, what):
-        super().__init__("not a member")
-        self.report = report
-        self.what = what
+    try:
+        return load_algebra(path)
+    except Rejected as exc:   # a file under a gluing spec: invalid input
+        raise ValueError(exc) from None
 
 
 def _cmd_check(args):
@@ -58,7 +46,7 @@ def _cmd_check(args):
 
 
 def _cmd_partition(args):
-    alg = _checked(_read_algebra(args.file))
+    alg = _read_algebra(args.file)
     p = partition(alg)
     for b in p.blocks:
         print("block bottom=%s top=%s elements=%s"
@@ -69,7 +57,7 @@ def _cmd_partition(args):
 
 
 def _cmd_congruences(args):
-    alg = _checked(_read_algebra(args.file))
+    alg = _read_algebra(args.file)
     con = congruence_lattice(alg)
     print("congruences %d" % len(con.congruences))
     for gen, theta in zip(con.generators, con.congruences):
@@ -86,22 +74,24 @@ def _cmd_glue(args):
         with open(args.specfile, "r", encoding="utf-8") as fh:
             sf = parse_gluing(fh.read())
         base = os.path.dirname(os.path.realpath(args.specfile))
-    lower_path = os.path.join(base, sf.lower_ref)
-    upper_path = os.path.join(base, sf.upper_ref)
-    lower = _checked(load_algebra(lower_path), "lower operand " + lower_path)
-    upper = _checked(load_algebra(upper_path), "upper operand " + upper_path)
-    spec = build_spec(sf, lower, upper)
-    rep = validate_gluing(spec)
-    if not rep.ok:
-        for line in rep.lines():
+    paths = [os.path.join(base, ref) for ref in (sf.lower_ref, sf.upper_ref)]
+    lower, upper = map(_read_algebra, paths)
+    try:
+        glued = glue(build_spec(sf, lower, upper))
+    except Rejected as exc:
+        for line in exc.report.lines():
             print(line)
+        for role, alg, path in zip(("lower", "upper"), (lower, upper), paths):
+            if exc.subject is alg:
+                print("error: %s operand %s is not a member" % (role, path),
+                      file=sys.stderr)
         return 1
-    sys.stdout.write(emit(glue(spec).result))
+    sys.stdout.write(emit(glued.result))
     return 0
 
 
 def _cmd_decompose(args):
-    alg = _checked(_read_algebra(args.file))
+    alg = _read_algebra(args.file)
     tree = decompose(alg)
 
     def describe(node, name):
@@ -124,7 +114,7 @@ def _cmd_reassemble(args):
     for ext in (".gspec", ".rlat"):
         root = os.path.join(args.dir, TREE_ROOT + ext)
         if os.path.exists(root):
-            sys.stdout.write(emit(load_algebra(root)))
+            sys.stdout.write(emit(_read_algebra(root)))
             return 0
     print("error: no %s.gspec or %s.rlat in %s"
           % (TREE_ROOT, TREE_ROOT, args.dir), file=sys.stderr)
@@ -157,7 +147,9 @@ def _cmd_enum(args):
 
 
 def _cmd_prop(args):
-    alg = _checked(_read_algebra(args.file))
+    alg = _read_algebra(args.file)
+    if args.name != "distr-semilattice":   # the one that checks its input
+        check_member(alg)
     verdict = _PROPS[args.name](alg)
     if verdict.holds:
         print("holds")
@@ -169,7 +161,8 @@ def _cmd_prop(args):
 
 
 def _cmd_dot(args):
-    alg = _checked(_read_algebra(args.file))
+    alg = _read_algebra(args.file)
+    check_member(alg)
     sys.stdout.write(dot_export(alg, args.order))
     return 0
 
@@ -235,11 +228,9 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NotMember as exc:
+    except Rejected as exc:   # the input of the command is not a member
         for line in exc.report.lines():
             print(line)
-        if exc.what:
-            print("error: %s is not a member" % exc.what, file=sys.stderr)
         return 1
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)

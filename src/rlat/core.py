@@ -299,8 +299,16 @@ def validate(alg):
     return rep
 
 
+class Rejected(ValueError):
+    """A failed check: the Report it made and the object it was made on."""
+
+    def __init__(self, message, report, subject):
+        super().__init__(message)
+        self.report, self.subject = report, subject
+
+
 def check_member(alg, label="algebra"):
-    """Raise ValueError naming the first axiom alg fails, if any.
+    """Raise Rejected naming the first axiom alg fails, if any.
 
     Public entry points call this once on the algebras they receive; what
     they build from a member is a member by the paper's theorems and is not
@@ -308,7 +316,8 @@ def check_member(alg, label="algebra"):
     """
     rep = validate(alg)
     if not rep.ok:
-        raise ValueError("%s fails axiom %r" % (label, rep.failures()[0][0]))
+        raise Rejected("%s fails axiom %r" % (label, rep.failures()[0][0]),
+                       rep, alg)
 
 
 def _is_semilattice(table, up):

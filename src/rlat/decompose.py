@@ -11,8 +11,7 @@ of a decomposition tree is the input on an id set, with its masks ANDed.
 from dataclasses import dataclass
 
 from .core import FiniteInRL, bits, check_member
-from .fileformat import build_spec
-from .gluing import GluingSpec, _glue, check_ingredients
+from .gluing import DecompositionTree, GluingSpec, Leaf, Node, _glue_tree
 
 
 @dataclass
@@ -22,34 +21,6 @@ class SplitResult:
     lower: FiniteInRL
     upper: FiniteInRL
     spec: GluingSpec
-
-
-class DecompositionTree:
-    """Leaf (one Boolean algebra) or Node (a split plus two subtrees)."""
-
-    def leaves(self):
-        if isinstance(self, Leaf):
-            yield self
-        else:
-            yield from self.lower.leaves()
-            yield from self.upper.leaves()
-
-
-@dataclass
-class Leaf(DecompositionTree):
-    algebra: FiniteInRL
-
-
-@dataclass
-class Node(DecompositionTree):
-    """A split, by the element names of the input."""
-    atom: str          # c, the lower unit
-    complement: str    # c*
-    a: str
-    b: str
-    pairs: tuple       # phi as (lower name, upper name), by input id
-    lower: DecompositionTree
-    upper: DecompositionTree
 
 
 def find_atoms(alg):
@@ -137,17 +108,10 @@ def _decompose(alg, ids, one):
 
 
 def reassemble(tree):
-    """Fold glue over the tree; inverse of decompose up to isomorphism.
+    """Glue the tree back together; inverse of decompose up to isomorphism.
 
     Every leaf must be a member and every node's names must resolve in its
     reassembled factors to a spec that passes validate_gluing; raises
-    ValueError otherwise.
+    ValueError (a Rejected from the failing part) otherwise.
     """
-    if isinstance(tree, Leaf):
-        check_member(tree.algebra, "leaf")
-        return tree.algebra
-    lower = reassemble(tree.lower)
-    upper = reassemble(tree.upper)
-    spec = build_spec(tree, lower, upper)
-    check_ingredients(spec)
-    return _glue(spec)
+    return _glue_tree(tree, {})

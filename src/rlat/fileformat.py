@@ -12,8 +12,8 @@ decomposition tree on disk reassemblable by loading its root.
 import os
 from dataclasses import dataclass
 
-from .core import FiniteInRL, check_member
-from .gluing import GluingSpec, _glue, validate_gluing
+from .core import FiniteInRL
+from .gluing import Leaf, Node, _glue_tree, build_spec  # noqa: F401 (API)
 
 _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 
@@ -149,15 +149,17 @@ def emit_gluing(spec_file):
 def load_algebra(path):
     """Load an algebra file, or glue a spec file by extension.
 
-    A spec's references are loaded depth first, lower before upper, from an
-    explicit stack, so a chain of specs of any depth loads without
-    recursion. A spec that refers back to a spec it is nested in raises
-    ParseError. Under a spec, every algebra file must be a member and every
+    A spec file and the files under it are read into a tree of Leaf and
+    Node, depth first, lower before upper, from an explicit stack, so a
+    chain of specs of any depth loads without recursion. A spec that refers
+    back to a spec it is nested in raises ParseError. The tree is then glued
+    in one pass: every algebra file under a spec must be a member and every
     spec must pass validate_gluing, or ValueError names the file; the glued
-    results are then members and are not checked again.
+    result is then a member and is not checked again.
     """
+    labels = {}      # id of a part -> the file it was read from
     nested = set()   # real paths of the specs on the stack
-    stack = []       # (path, real path, spec file, [loaded lower])
+    stack = []       # (path, real path, spec file, [read lower part])
     while True:
         real = os.path.realpath(path)
         if real in nested:
@@ -170,38 +172,21 @@ def load_algebra(path):
             stack.append((path, real, sf, []))
             path = os.path.join(os.path.dirname(real), sf.lower_ref)
             continue
-        alg = parse(text)
-        if stack:
-            check_member(alg, path)
-        # alg is the upper part of every spec on top whose lower is loaded
+        if not stack:
+            return parse(text)
+        part = Leaf(parse(text))
+        labels[id(part)] = path
+        # part is the upper part of every spec on top whose lower is read
         while stack and stack[-1][3]:
             spec_path, spec_real, sf, (lower,) = stack.pop()
             nested.remove(spec_real)
-            spec = build_spec(sf, lower, alg)
-            rep = validate_gluing(spec)
-            if not rep.ok:
-                raise ValueError("gluing spec %s fails %r"
-                                 % (spec_path, rep.failures()[0][0]))
-            alg = _glue(spec)
+            part = Node(None, None, sf.a, sf.b, sf.pairs, lower, part)
+            labels[id(part)] = "gluing spec " + spec_path
         if not stack:
-            return alg
-        _, spec_real, sf, loaded = stack[-1]
-        loaded.append(alg)
+            return _glue_tree(part, labels)
+        _, spec_real, sf, read = stack[-1]
+        read.append(part)
         path = os.path.join(os.path.dirname(spec_real), sf.upper_ref)
-
-
-def build_spec(spec_file, lower, upper):
-    """Resolve the names a, b and pairs of a parsed spec file, or of a
-    decomposition tree node, against its two algebras."""
-    a = lower.element(spec_file.a)
-    b = upper.element(spec_file.b)
-    phi = {}
-    for x, y in spec_file.pairs:
-        key = lower.element(x)
-        if key in phi:
-            raise ValueError("phi maps %s twice" % x)
-        phi[key] = upper.element(y)
-    return GluingSpec(lower, upper, a, b, phi)
 
 
 def write_tree(tree, outdir):
@@ -211,8 +196,6 @@ def write_tree(tree, outdir):
     becomes p.gspec referencing its children p0 and p1. Returns the list of
     (filename, kind) written, root first.
     """
-    from .decompose import Leaf
-
     os.makedirs(outdir, exist_ok=True)
     written = []
 

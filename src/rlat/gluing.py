@@ -6,9 +6,10 @@ phi maps the monoidal up-set of a onto the monoidal down-set of b. The glued
 algebra stacks B's monoidal order on top of A's; its unit and zero are B's.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .core import FiniteInRL, Report, bits, check_member
+from .core import FiniteInRL, Rejected, Report, check_member
 
 
 @dataclass
@@ -26,30 +27,71 @@ class GluedAlgebra:
     provenance: tuple   # glued id -> ("lower" | "upper", original id)
 
 
+class DecompositionTree:
+    """Leaf (one algebra) or Node (a gluing of two subtrees)."""
+
+    def leaves(self):
+        return (part for part in self._parts() if isinstance(part, Leaf))
+
+    def _parts(self):
+        """Every part, each node after its lower and upper subtrees."""
+        order, todo = [], [self]
+        while todo:              # node, then its upper and lower subtrees
+            order.append(todo.pop())
+            if isinstance(order[-1], Node):
+                todo += (order[-1].lower, order[-1].upper)
+        return order[::-1]
+
+
+@dataclass
+class Leaf(DecompositionTree):
+    algebra: FiniteInRL
+
+
+@dataclass
+class Node(DecompositionTree):
+    """A gluing by element names; a split records its atom and c* too."""
+    atom: str          # c, the lower unit, or None if not from a split
+    complement: str    # c*, or None
+    a: str
+    b: str
+    pairs: tuple       # phi as (lower name, upper name)
+    lower: DecompositionTree
+    upper: DecompositionTree
+
+
+class _Part(namedtuple("_Part", "join fusion neg names one lo n index")):
+    """A factor as a part of tables: its rows, names and unit, and its name
+    -> id map onto the ids lo..lo+n-1. validate_gluing and build_spec read
+    no more of a FiniteInRL, which is then the part of its own tables."""
+    element = FiniteInRL.element
+
+
 def validate_gluing(spec):
     """Check every gluing ingredient; witnesses are element names."""
     A, B, a, b, phi = spec.lower, spec.upper, spec.a, spec.b, spec.phi
+    ids_a, ids_b = set(A.index.values()), set(B.index.values())
     rep = Report()
 
-    in_range = (0 <= a < A.n and 0 <= b < B.n
-                and all(0 <= x < A.n and 0 <= y < B.n
-                        for x, y in phi.items()))
+    in_range = (a in ids_a and b in ids_b
+                and all(x in ids_a and y in ids_b for x, y in phi.items()))
     rep.add("spec references elements of both carriers", in_range)
     if not in_range:
         return rep
 
-    rep.add("a lies in the lower negative cone", A.leq(a, A.one),
+    zero = A.neg[A.one]
+    rep.add("a lies in the lower negative cone", A.join[a][A.one] == A.one,
             (A.names[a],))
-    rep.add("a is not below the lower zero", not A.leq(a, A.zero),
+    rep.add("a is not below the lower zero", A.join[a][zero] != zero,
             (A.names[a],))
-    rep.add("b lies in the upper negative cone", B.leq(b, B.one),
+    rep.add("b lies in the upper negative cone", B.join[b][B.one] == B.one,
             (B.names[b],))
 
-    dom = set(bits(A.mon_up[a]))
-    cod = set(bits(B.mon_dn[b]))
-    keys = set(phi)
+    dom = {x for x in ids_a if A.fusion[a][x] == a}
+    cod = {y for y in ids_b if B.fusion[y][b] == y}
+    keys = sorted(phi)
 
-    bad = sorted(keys ^ dom)
+    bad = sorted(dom.symmetric_difference(keys))
     rep.add("phi domain is the monoidal up-set of a", not bad,
             tuple(A.names[x] for x in bad))
 
@@ -65,85 +107,102 @@ def validate_gluing(spec):
     rep.add("phi sends the lower unit to b", phi.get(A.one) == b,
             (A.names[A.one],))
 
-    wf = wj = None
-    for x in sorted(keys):
-        for y in sorted(keys):
-            f, j = A.fusion[x][y], A.join[x][y]
-            if wf is None and (f not in keys
-                               or phi[f] != B.fusion[phi[x]][phi[y]]):
-                wf = (A.names[x], A.names[y])
-            if wj is None and (j not in keys
-                               or phi[j] != B.join[phi[x]][phi[y]]):
-                wj = (A.names[x], A.names[y])
-    rep.add("phi preserves fusion", wf is None, wf)
-    rep.add("phi preserves join", wj is None, wj)
+    for op, ta, tb in (("fusion", A.fusion, B.fusion),
+                       ("join", A.join, B.join)):
+        w = next(((A.names[x], A.names[y]) for x in keys for y in keys
+                  if phi.get(ta[x][y]) != tb[phi[x]][phi[y]]), None)
+        rep.add("phi preserves " + op, w is None, w)
 
-    anchor = A.join[a][A.zero]
-    ok = anchor in phi and phi[anchor] == B.block_bounds(b)[0]
+    anchor = A.join[a][zero]
+    ok = anchor in phi and phi[anchor] == B.fusion[b][B.neg[b]]
     rep.add("phi sends a join lower-zero to the block bottom of b", ok,
             (A.names[anchor],))
     return rep
 
 
+def build_spec(spec_file, lower, upper):
+    """Resolve the names a, b and pairs of a parsed spec file, or of a
+    decomposition tree node, against its two algebras."""
+    a = lower.element(spec_file.a)
+    b = upper.element(spec_file.b)
+    phi = {}
+    for x, y in spec_file.pairs:
+        key = lower.element(x)
+        if key in phi:
+            raise ValueError("phi maps %s twice" % x)
+        phi[key] = upper.element(y)
+    return GluingSpec(lower, upper, a, b, phi)
+
+
 def glue(spec):
-    """Construct the glued algebra; raises ValueError on bad ingredients.
+    """Construct the glued algebra, the one-node tree of its spec.
 
-    Both factors must be members and the spec must pass validate_gluing;
-    the result is then a member by the gluing theorem and is not checked
-    again.
+    Raises ValueError on an id out of range, and Rejected (a ValueError) if
+    a factor is not a member or the spec fails validate_gluing; the result
+    is then a member by the gluing theorem and is not checked again.
     """
-    check_member(spec.lower, "lower factor")
-    check_member(spec.upper, "upper factor")
-    check_ingredients(spec)
-    nA, nB = spec.lower.n, spec.upper.n
-    prov = tuple([("lower", x) for x in range(nA)]
-                 + [("upper", y) for y in range(nB)])
-    return GluedAlgebra(_glue(spec), prov)
-
-
-def check_ingredients(spec):
-    """Raise ValueError naming every check of validate_gluing that fails."""
-    rep = validate_gluing(spec)
-    if not rep.ok:
-        raise ValueError("invalid gluing ingredients: "
-                         + "; ".join(name for name, _ in rep.failures()))
-
-
-def _glue(spec):
-    """The glued algebra of a spec already known to be valid."""
     A, B = spec.lower, spec.upper
-    a, b, phi = spec.a, spec.b, spec.phi
-    phi_inv = {v: k for k, v in phi.items()}
-    na = A.neg[a]
-    nA, nB = A.n, B.n
-
-    names = list(A.names)
-    taken = set(names)
-    for nm in B.names:
-        while nm in taken:
-            nm += "'"
-        taken.add(nm)
-        names.append(nm)
-
-    neg = ([A.neg[x] for x in range(nA)]
-           + [nA + B.neg[y] for y in range(nB)])
-    join, fusion = _stack(A.join, B.join), _stack(A.fusion, B.fusion)
-    for x in range(nA):
-        for y in range(nB):
-            f = A.fusion[x][phi_inv[B.fusion[y][b]]]
-            fusion[x][nA + y] = fusion[nA + y][x] = f
-            if A.leq(x, na):
-                j = nA + B.join[phi[A.join[x][a]]][y]
-            else:
-                j = A.join[x][phi_inv[B.fusion[y][b]]]
-            join[x][nA + y] = join[nA + y][x] = j
-
-    return FiniteInRL(names, nA + B.one, neg, join, fusion)
+    # ids to names; an id out of range stays an id and names no element
+    na, nb = dict(enumerate(A.names)), dict(enumerate(B.names))
+    lower, upper = Leaf(A), Leaf(B)
+    node = Node(None, None, na.get(spec.a, spec.a), nb.get(spec.b, spec.b),
+                tuple((na.get(x, x), nb.get(y, y))
+                      for x, y in spec.phi.items()), lower, upper)
+    result = _glue_tree(node, {id(lower): "lower factor",
+                               id(upper): "upper factor"})
+    return GluedAlgebra(result, tuple([("lower", x) for x in range(A.n)]
+                                      + [("upper", y) for y in range(B.n)]))
 
 
-def _stack(lower, upper):
-    """A table with lower in its top left corner and upper, shifted past
-    lower's ids, in its bottom right; the other cells are 0."""
-    nA, nB = len(lower), len(upper)
-    return ([row + [0] * nB for row in lower]
-            + [[0] * nA + [nA + v for v in row] for row in upper])
+def _glue_tree(tree, labels):
+    """The member glued from a tree of Leaf and Node in one table, ids in
+    leaf order. A leaf fills its diagonal block; a node fills the cells
+    between its two parts from their own cells, final by then, and primes
+    its upper part's names taken below. Rejected names, by labels[id(part)],
+    a leaf that is not a member or a node that fails validate_gluing."""
+    order = tree._parts()
+    n = sum(part.algebra.n for part in order if isinstance(part, Leaf))
+    names, neg = [None] * n, [0] * n
+    join, fusion = ([[0] * n for _ in range(n)] for _ in range(2))
+    done = []                    # the glued parts, in id order
+    for part in order:
+        if isinstance(part, Leaf):
+            alg = part.algebra
+            check_member(alg, labels.get(id(part), "leaf"))
+            lo = done[-1].lo + done[-1].n if done else 0
+            hi = lo + alg.n
+            names[lo:hi] = alg.names
+            neg[lo:hi] = [lo + v for v in alg.neg]
+            for table, rows in ((join, alg.join), (fusion, alg.fusion)):
+                for x, row in enumerate(rows, lo):
+                    table[x][lo:hi] = [lo + v for v in row]
+            done.append(_Part(join, fusion, neg, names, lo + alg.one, lo,
+                              alg.n, dict(zip(alg.names, range(lo, hi)))))
+            continue
+
+        spec = build_spec(part, done.pop(-2), done.pop())
+        rep = validate_gluing(spec)
+        if not rep.ok:
+            label = labels.get(id(part), "gluing spec")
+            raise Rejected("%s fails %r" % (label, rep.failures()[0][0]),
+                           rep, part)
+        A, B, a, b, phi = spec.lower, spec.upper, spec.a, spec.b, spec.phi
+        lo, mid, hi = A.lo, B.lo, B.lo + B.n
+        inv = {y: x for x, y in phi.items()}
+        back = [inv[fusion[y][b]] for y in range(mid, hi)]
+        na = neg[a]
+        for x in range(lo, mid):
+            fx, jx = fusion[x], join[x]
+            fx[mid:hi] = [fx[u] for u in back]
+            jx[mid:hi] = (join[phi[jx[a]]][mid:hi] if jx[na] == na
+                          else [jx[u] for u in back])
+        for table in (join, fusion):
+            rows = table[lo:mid]
+            for y in range(mid, hi):
+                table[y][lo:mid] = [row[y] for row in rows]
+        for y in range(mid, hi):
+            while names[y] in A.index:
+                names[y] += "'"
+            A.index[names[y]] = y
+        done.append(A._replace(one=B.one, n=A.n + B.n))
+    return FiniteInRL(names, done[0].one, neg, join, fusion)

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from rlat import AXIOM_NAMES, FiniteInRL, find_isomorphism, validate
+from rlat import (AXIOM_NAMES, FiniteInRL, find_isomorphism, validate,
+                  validate_gluing)
 from rlat.cli import run
 from rlat.fileformat import dot_export, emit, load_algebra, parse
 from rlat.generate import boolean_algebra, build_an
@@ -251,6 +252,55 @@ class TestDecomposeReassemble:
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))
         assert code == 2
         assert "no t.gspec or t.rlat" in err
+
+
+class TestOneCheckPerInput:
+    """Each command validates each algebra it reads once and checks each
+    gluing spec once."""
+
+    @pytest.fixture()
+    def inputs(self, capsys, tmp_path):
+        (tmp_path / "an8.rlat").write_text(emit(build_an(8)),
+                                           encoding="utf-8")
+        (tmp_path / "two.rlat").write_text(emit(boolean_algebra(1)),
+                                           encoding="utf-8")
+        (tmp_path / "top.gspec").write_text(
+            "lower an8.rlat\nupper two.rlat\na 1\nb 0\nphi 1 -> 0\n",
+            encoding="utf-8")
+        invoke(capsys, "decompose", str(tmp_path / "an8.rlat"),
+               "--out", str(tmp_path / "tree"))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, checks", [
+        (("check", "an8.rlat"), (1, 0)),
+        (("partition", "an8.rlat"), (1, 0)),
+        (("congruences", "an8.rlat"), (1, 0)),
+        (("decompose", "an8.rlat"), (1, 0)),
+        (("prop", "distr-semilattice", "an8.rlat"), (1, 0)),
+        (("prop", "semilinear", "an8.rlat"), (1, 0)),
+        (("dot", "an8.rlat"), (1, 0)),
+        (("glue", "top.gspec"), (2, 1)),
+        # one per leaf file and one per spec file: build_an(8) has 10
+        # blocks
+        (("reassemble", "tree"), (10, 9)),
+    ])
+    def test_calls_per_command(self, capsys, monkeypatch, inputs, argv,
+                               checks):
+        calls = {validate: 0, validate_gluing: 0}
+        for fn in calls:
+            def counting(*args, fn=fn):
+                calls[fn] += 1
+                return fn(*args)
+
+            for key, module in list(sys.modules.items()):
+                if key.startswith("rlat") and getattr(
+                        module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counting)
+        argv = [str(inputs / a) if a.endswith((".rlat", ".gspec", "tree"))
+                else a for a in argv]
+        code, _, err = invoke(capsys, *argv)
+        assert err == "" and code in (0, 1)   # an(8) is not semilinear
+        assert (calls[validate], calls[validate_gluing]) == checks
 
 
 class TestGen:

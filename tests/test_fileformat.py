@@ -1,11 +1,14 @@
+import sys
+
 import pytest
 
+from rlat import FiniteInRL
 from rlat.fileformat import (ParseError, build_spec, dot_export, emit,
                              emit_gluing, load_algebra, parse, parse_gluing,
                              write_tree)
-from rlat.decompose import decompose, reassemble
+from rlat.decompose import Leaf, Node, decompose, reassemble
 from rlat.generate import boolean_algebra, build_an
-from rlat.gluing import glue
+from rlat.gluing import GluingSpec, glue
 
 TINY = ("elements 0 1\none 1\nneg 1 0\n"
         "join 0 1\njoin 1 1\nfusion 0 0\nfusion 0 1\n")
@@ -144,6 +147,49 @@ class TestLoadAlgebra:
         with pytest.raises(ValueError) as exc:
             load_algebra(str(top))
         assert "gluing spec" in str(exc.value)
+
+
+def two(i):
+    """The two-element algebra with level-i names."""
+    return FiniteInRL(["0_%d" % i, "1_%d" % i], 1, [1, 0], [[0, 1], [1, 1]],
+                      [[0, 0], [0, 1]])
+
+
+class TestDeepTree:
+    def test_valid_chain_glues_without_recursion(self, tmp_path):
+        # each level glues two(i) on top: a = the lower unit, b = 0_i; the
+        # chain is deeper than a recursion limit lowered to the stack in use
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = depth + 50
+        levels = limit + 10
+        (tmp_path / "b0.rlat").write_text(emit(two(0)), encoding="utf-8")
+        tree = Leaf(two(0))
+        expected = two(0)
+        for i in range(1, levels + 1):
+            up = two(i)
+            (tmp_path / ("b%d.rlat" % i)).write_text(emit(up),
+                                                     encoding="utf-8")
+            lower = "g%d.gspec" % (i - 1) if i > 1 else "b0.rlat"
+            (tmp_path / ("g%d.gspec" % i)).write_text(
+                "lower %s\nupper b%d.rlat\na 1_%d\nb 0_%d\nphi 1_%d -> 0_%d\n"
+                % (lower, i, i - 1, i, i - 1, i), encoding="utf-8")
+            pairs = (("1_%d" % (i - 1), "0_%d" % i),)
+            tree = Node(None, None, "1_%d" % (i - 1), "0_%d" % i, pairs, tree,
+                        Leaf(up))
+            expected = glue(GluingSpec(expected, up, expected.one, 0,
+                                       {expected.one: 0})).result
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            loaded = load_algebra(str(tmp_path / ("g%d.gspec" % levels)))
+            rebuilt = reassemble(tree)
+        finally:
+            sys.setrecursionlimit(old)
+        assert expected.n == 2 * levels + 2
+        assert loaded == expected
+        assert rebuilt == expected
 
 
 class TestWriteTree:

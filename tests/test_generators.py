@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from rlat import subalgebra_generated, validate
+from rlat.fileformat import emit
 from rlat.generate import SIZE_CAP, boolean_algebra, build_an
 from rlat.partition import partition
 
@@ -65,3 +68,11 @@ class TestFamily:
     def test_cap(self):
         with pytest.raises(ValueError):
             build_an((SIZE_CAP - 6) // 4 + 1)
+
+    def test_output_unchanged(self):
+        # pins emit(build_an(k)) for k = 0..12, byte for byte
+        digest = hashlib.sha256()
+        for k in range(13):
+            digest.update(emit(build_an(k)).encode())
+        assert digest.hexdigest() == \
+            "8353120ca200346ffed75c0855048874cdaae21f32bc807b1a06ad502a02a08c"

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from oracles import glued_order_failures
-from rlat import find_isomorphism, validate
-from rlat.decompose import find_atoms, split
+from rlat import FiniteInRL, find_isomorphism, validate
+from rlat.decompose import decompose, find_atoms, reassemble, split
+from rlat.fileformat import load_algebra, write_tree
 from rlat.generate import boolean_algebra, build_an
 from rlat.gluing import GluingSpec, glue, validate_gluing
 from rlat.props import distributive_semilattice_table, is_semilinear
@@ -67,6 +70,42 @@ class TestValidateGluing:
         rep = validate_gluing(GluingSpec(s.lower, s.upper, s.a, s.b, phi))
         assert any(n == "phi preserves fusion" for n, _ in rep.failures())
 
+    def test_report_unchanged(self, a1, corpus6, sample_spec):
+        # pins the report lines and checks over mutants of every spec at
+        # hand: each choice of a, each choice of b, each retarget of one
+        # phi pair, each dropped pair and ids out of range
+        specs = [sample_spec, chain_spec()]
+        for alg in [a1] + list(corpus6.algebras) + [build_an(k)
+                                                    for k in range(4)]:
+            specs += [split(alg, c).spec for c in find_atoms(alg)]
+        digest = hashlib.sha256()
+        count = total = 0
+        for s in specs:
+            A, B, phi = s.lower, s.upper, s.phi
+            mutants = [s]
+            mutants += [GluingSpec(A, B, a, s.b, phi) for a in range(A.n)]
+            mutants += [GluingSpec(A, B, s.a, b, phi) for b in range(B.n)]
+            for x in sorted(phi):
+                mutants += [GluingSpec(A, B, s.a, s.b, {**phi, x: y})
+                            for y in range(B.n) if y != phi[x]]
+                mutants.append(GluingSpec(A, B, s.a, s.b,
+                                          {k: v for k, v in phi.items()
+                                           if k != x}))
+            mutants += [GluingSpec(A, B, A.n, s.b, phi),
+                        GluingSpec(A, B, -1, s.b, phi),
+                        GluingSpec(A, B, s.a, s.b, {**phi, A.n: s.b}),
+                        GluingSpec(A, B, s.a, s.b, {**phi, s.a: -1})]
+            for m in mutants:
+                rep = validate_gluing(m)
+                digest.update("\n".join(rep.lines()).encode() + b"\0"
+                              + repr(rep.checks).encode() + b"\0")
+                count += not rep.ok
+                total += 1
+        assert len(specs) == 15
+        assert (count, total) == (234, 279)
+        assert digest.hexdigest() == \
+            "54938c6afead8626ada36000aaaa9ce49fc83fcfded64622121936996864d2ca"
+
     def test_glue_raises_on_bad_spec(self):
         s = chain_spec()
         bad = GluingSpec(s.lower, s.upper, s.a, s.b, {})
@@ -121,6 +160,41 @@ class TestGlue:
 
     def test_family_chain_matches_fixture(self, a1):
         assert find_isomorphism(build_an(1), a1) is not None
+
+
+class TestGlueTree:
+    def test_one_algebra_built_per_tree(self, a1, corpus6, tmp_path,
+                                        monkeypatch):
+        # beyond the leaves it is given or parses, each fold of a tree
+        # builds its result and nothing else
+        built = []
+        init = FiniteInRL.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(FiniteInRL, "__init__", counting)
+        for k in (0, 1, 5):
+            del built[:]
+            alg = build_an(k)
+            assert len(built) == (k + 2) + 1 and built[-1] is alg
+        subjects = ([a1, boolean_algebra(3)] + list(corpus6.algebras)
+                    + [build_an(k) for k in range(4)])
+        for i, alg in enumerate(subjects):
+            tree = decompose(alg)
+            del built[:]
+            result = reassemble(tree)
+            assert len(built) == 1 and built[0] is result
+            # a tree of one leaf is written as a plain file and only parsed
+            leaves = len(list(tree.leaves()))
+            out = tmp_path / str(i)
+            write_tree(tree, str(out))
+            del built[:]
+            root = out / ("t.gspec" if leaves > 1 else "t.rlat")
+            result = load_algebra(str(root))
+            assert len(built) == leaves + (leaves > 1)
+            assert built[-1] is result
 
 
 class TestGluingTheorem:
