@@ -5,25 +5,40 @@ inverse decomposition, stock generator families, property decision
 procedures, exhaustive enumeration up to isomorphism, and text file formats.
 """
 
-from .congruence import (Congruence, ConLattice, NegConeFilter,
-                         congruence_from_filter, congruence_lattice,
-                         filters_of_negative_cone, quotient)
 from .core import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
                    find_isomorphism, subalgebra_generated, validate)
+# eager: a first import of the decompose or partition module rebinds its name
 from .decompose import (DecompositionTree, Leaf, Node, SplitResult,
                         decompose, find_atoms, reassemble, split)
 from .fileformat import (GluingSpecFile, ParseError, build_spec, dot_export,
                          emit, emit_gluing, load_algebra, parse,
                          parse_gluing, write_tree)
-from .generate import boolean_algebra, build_an
 from .gluing import GluedAlgebra, GluingSpec, glue, validate_gluing
 from .partition import (BooleanBlock, Partition, block,
                         join_incompatibility_witness, partition,
                         verify_partition)
-from .props import (PropertyVerdict, distributive_semilattice_table,
-                    is_distributive_semilattice, is_lattice_distributive,
-                    is_semilinear)
-from .search import Corpus, enumerate_up_to_iso
+
+_LAZY = {name: module for module, names in (
+    ("congruence", "Congruence ConLattice NegConeFilter quotient "
+                   "congruence_from_filter congruence_lattice "
+                   "filters_of_negative_cone"),
+    ("generate", "boolean_algebra build_an"),
+    ("props", "PropertyVerdict distributive_semilattice_table "
+              "is_distributive_semilattice is_lattice_distributive "
+              "is_semilinear"),
+    ("search", "Corpus enumerate_up_to_iso")) for name in names.split()}
+
+
+def __getattr__(name):
+    """Load congruence, generate, props or search on first use (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from importlib import import_module
+    module = import_module("." + _LAZY[name], __name__)
+    globals()[name] = value = getattr(module, name)
+    return value
+
 
 __all__ = [
     "AXIOM_NAMES", "BooleanBlock", "ConLattice", "Congruence", "Corpus",

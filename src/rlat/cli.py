@@ -9,22 +9,19 @@ import argparse
 import os
 import sys
 
-from .congruence import congruence_lattice
 from .core import Rejected, check_member, validate
-from .decompose import Leaf, decompose
+from .decompose import decompose
 from .fileformat import (TREE_ROOT, ParseError, build_spec, dot_export,
                          emit, load_algebra, parse, parse_gluing, write_tree)
-from .generate import boolean_algebra, build_an
-from .gluing import glue
+from .gluing import Leaf, glue
 from .partition import partition
-from .props import (is_distributive_semilattice, is_lattice_distributive,
-                    is_semilinear)
-from .search import enumerate_up_to_iso
 
+# property name -> the function of rlat.props that decides it; congruence,
+# generate, props and search load only in the commands that use them
 _PROPS = {
-    "distr-semilattice": is_distributive_semilattice,
-    "distr-lattice": is_lattice_distributive,
-    "semilinear": is_semilinear,
+    "distr-semilattice": "is_distributive_semilattice",
+    "distr-lattice": "is_lattice_distributive",
+    "semilinear": "is_semilinear",
 }
 
 
@@ -57,6 +54,7 @@ def _cmd_partition(args):
 
 
 def _cmd_congruences(args):
+    from .congruence import congruence_lattice
     alg = _read_algebra(args.file)
     con = congruence_lattice(alg)
     print("congruences %d" % len(con.congruences))
@@ -93,17 +91,12 @@ def _cmd_glue(args):
 def _cmd_decompose(args):
     alg = _read_algebra(args.file)
     tree = decompose(alg)
-
-    def describe(node, name):
-        if isinstance(node, Leaf):
-            print("leaf %s: %d elements" % (name, node.algebra.n))
-            return
-        print("node %s: atom=%s complement=%s a=%s b=%s"
-              % (name, node.atom, node.complement, node.a, node.b))
-        describe(node.lower, name + "0")
-        describe(node.upper, name + "1")
-
-    describe(tree, TREE_ROOT)
+    for part, name in tree._named(TREE_ROOT):
+        if isinstance(part, Leaf):
+            print("leaf %s: %d elements" % (name, part.algebra.n))
+        else:
+            print("node %s: atom=%s complement=%s a=%s b=%s"
+                  % (name, part.atom, part.complement, part.a, part.b))
     if args.out:
         for fname, _ in write_tree(tree, args.out):
             print("wrote %s" % fname)
@@ -122,6 +115,7 @@ def _cmd_reassemble(args):
 
 
 def _cmd_gen(args):
+    from .generate import boolean_algebra, build_an
     if args.family == "an":
         alg = build_an(args.number)
     else:
@@ -131,6 +125,7 @@ def _cmd_gen(args):
 
 
 def _cmd_enum(args):
+    from .search import enumerate_up_to_iso
     corpus = enumerate_up_to_iso(args.maxsize)
     os.makedirs(args.out, exist_ok=True)
     index = {}
@@ -147,10 +142,11 @@ def _cmd_enum(args):
 
 
 def _cmd_prop(args):
+    from . import props
     alg = _read_algebra(args.file)
     if args.name != "distr-semilattice":   # the one that checks its input
         check_member(alg)
-    verdict = _PROPS[args.name](alg)
+    verdict = getattr(props, _PROPS[args.name])(alg)
     if verdict.holds:
         print("holds")
         return 0

@@ -6,22 +6,21 @@ x and y are related exactly when a.x = a.y. The congruence lattice is
 therefore order-anti-isomorphic to the negative cone.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import FiniteInRL, bits, check_member
 
 
-@dataclass(frozen=True)
-class NegConeFilter:
-    elements: tuple    # sorted subset of the negative cone
-    generator: int     # least element; the filter is its up-set in the cone
+class NegConeFilter(namedtuple("NegConeFilter", "elements generator")):
+    """elements: a sorted subset of the negative cone; generator: its least
+    element, whose up-set in the cone the filter is."""
+    __slots__ = ()
 
 
-@dataclass
-class Congruence:
-    relation: tuple    # n bitmask rows; bit y of row x set iff x related y
-    classes: tuple     # tuples of element ids, each sorted; sorted by min
-    one_class: tuple   # the class of the unit
+class Congruence(namedtuple("Congruence", "relation classes one_class")):
+    """relation: n bitmask rows, bit y of row x set iff x related y; classes:
+    sorted id tuples, by least id; one_class: the class of the unit."""
+    __slots__ = ()
 
     def related(self, x, y):
         return (self.relation[x] >> y) & 1 == 1
@@ -32,11 +31,10 @@ class Congruence:
         return tuple(bits(self.relation[x]))
 
 
-@dataclass
-class ConLattice:
-    congruences: tuple   # indexed by cone element order
-    generators: tuple    # generators[i] is the filter generator of entry i
-    refines: tuple       # bit rows over congruence indexes: i refines j
+class ConLattice(namedtuple("ConLattice", "congruences generators refines")):
+    """generators[i]: the filter generator of congruences[i], in cone order;
+    refines: bit rows over congruence indexes, bit j of row i if i refines j."""
+    __slots__ = ()
 
 
 def filters_of_negative_cone(alg):

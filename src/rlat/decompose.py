@@ -8,19 +8,14 @@ Both keep the operations of the algebra and change only the unit, so a part
 of a decomposition tree is the input on an id set, with its masks ANDed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import FiniteInRL, bits, check_member
 from .gluing import DecompositionTree, GluingSpec, Leaf, Node, _glue_tree
 
 
-@dataclass
-class SplitResult:
-    c: int
-    c_star: int
-    lower: FiniteInRL
-    upper: FiniteInRL
-    spec: GluingSpec
+class SplitResult(namedtuple("SplitResult", "c c_star lower upper spec")):
+    __slots__ = ()
 
 
 def find_atoms(alg):
@@ -95,16 +90,26 @@ def decompose(alg):
 
 
 def _decompose(alg, ids, one):
-    atoms = _atoms(alg, ids, one)
-    if not atoms:
-        whole = ids == (1 << alg.n) - 1
-        return Leaf(alg if whole else _restrict(alg, ids, one))
-    c = atoms[0]
-    c_star, lower, upper, a, b, phi = _split(alg, ids, one, c)
-    names = alg.names
-    return Node(names[c], names[c_star], names[a], names[b],
-                tuple((names[x], names[y]) for x, y in phi),
-                _decompose(alg, lower, c), _decompose(alg, upper, one))
+    """Split parts root first from a stack, then build the tree backwards."""
+    names, whole = alg.names, (1 << alg.n) - 1
+    order, todo = [], [(ids, one)]
+    while todo:                  # a part, then its lower and upper parts
+        ids, one = todo.pop()
+        atoms = _atoms(alg, ids, one)
+        if not atoms:
+            order.append(Leaf(alg if ids == whole
+                              else _restrict(alg, ids, one)))
+            continue
+        c = atoms[0]
+        c_star, lower, upper, a, b, phi = _split(alg, ids, one, c)
+        order.append((names[c], names[c_star], names[a], names[b],
+                      tuple((names[x], names[y]) for x, y in phi)))
+        todo += ((upper, one), (lower, c))
+    built = []                   # the built parts; the last is a lower one
+    for part in reversed(order):
+        built.append(part if isinstance(part, Leaf)
+                     else Node(*part, built.pop(), built.pop()))
+    return built[0]
 
 
 def reassemble(tree):

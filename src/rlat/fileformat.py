@@ -10,7 +10,7 @@ decomposition tree on disk reassemblable by loading its root.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import FiniteInRL
 from .gluing import Leaf, Node, _glue_tree, build_spec  # noqa: F401 (API)
@@ -103,13 +103,10 @@ def emit(alg):
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class GluingSpecFile:
-    lower_ref: str
-    upper_ref: str
-    a: str
-    b: str
-    pairs: tuple   # (x name in lower, y name in upper)
+class GluingSpecFile(namedtuple("GluingSpecFile",
+                                 "lower_ref upper_ref a b pairs")):
+    """pairs: phi as (x name in lower, y name in upper)."""
+    __slots__ = ()
 
 
 def parse_gluing(text):
@@ -196,27 +193,22 @@ def write_tree(tree, outdir):
     becomes p.gspec referencing its children p0 and p1. Returns the list of
     (filename, kind) written, root first.
     """
+    def fname(part, name):
+        return name + (".rlat" if isinstance(part, Leaf) else ".gspec")
+
     os.makedirs(outdir, exist_ok=True)
     written = []
-
-    def emit_node(node, name):
-        if isinstance(node, Leaf):
-            fname = name + ".rlat"
-            with open(os.path.join(outdir, fname), "w",
-                      encoding="utf-8") as fh:
-                fh.write(emit(node.algebra))
-            written.append((fname, "leaf"))
-            return fname
-        fname = name + ".gspec"
-        written.append((fname, "node"))
-        lower_ref = emit_node(node.lower, name + "0")
-        upper_ref = emit_node(node.upper, name + "1")
-        sf = GluingSpecFile(lower_ref, upper_ref, node.a, node.b, node.pairs)
-        with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
-            fh.write(emit_gluing(sf))
-        return fname
-
-    emit_node(tree, TREE_ROOT)
+    for part, name in tree._named(TREE_ROOT):
+        if isinstance(part, Leaf):
+            kind, text = "leaf", emit(part.algebra)
+        else:
+            kind, text = "node", emit_gluing(GluingSpecFile(
+                fname(part.lower, name + "0"), fname(part.upper, name + "1"),
+                part.a, part.b, part.pairs))
+        written.append((fname(part, name), kind))
+        with open(os.path.join(outdir, written[-1][0]), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
     return written
 
 

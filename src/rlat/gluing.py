@@ -7,28 +7,24 @@ algebra stacks B's monoidal order on top of A's; its unit and zero are B's.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .core import FiniteInRL, Rejected, Report, check_member
 
 
-@dataclass
-class GluingSpec:
-    lower: FiniteInRL
-    upper: FiniteInRL
-    a: int        # element of lower
-    b: int        # element of upper
-    phi: dict     # lower id -> upper id, domain {x | a mon<= x}
+class GluingSpec(namedtuple("GluingSpec", "lower upper a b phi")):
+    """a is an element of lower and b of upper; phi maps lower ids to upper
+    ids, on the domain {x | a mon<= x}."""
+    __slots__ = ()
 
 
-@dataclass
-class GluedAlgebra:
-    result: FiniteInRL
-    provenance: tuple   # glued id -> ("lower" | "upper", original id)
+class GluedAlgebra(namedtuple("GluedAlgebra", "result provenance")):
+    """provenance maps a glued id to ("lower" | "upper", original id)."""
+    __slots__ = ()
 
 
 class DecompositionTree:
     """Leaf (one algebra) or Node (a gluing of two subtrees)."""
+    __slots__ = ()
 
     def leaves(self):
         return (part for part in self._parts() if isinstance(part, Leaf))
@@ -42,22 +38,26 @@ class DecompositionTree:
                 todo += (order[-1].lower, order[-1].upper)
         return order[::-1]
 
+    def _named(self, name):
+        """Every part with its name, root first, each node before its lower
+        subtree (named name + "0") and then its upper (name + "1")."""
+        todo = [(self, name)]
+        while todo:
+            part, name = todo.pop()
+            yield part, name
+            if isinstance(part, Node):
+                todo += ((part.upper, name + "1"), (part.lower, name + "0"))
 
-@dataclass
-class Leaf(DecompositionTree):
-    algebra: FiniteInRL
+
+class Leaf(namedtuple("Leaf", "algebra"), DecompositionTree):
+    __slots__ = ()
 
 
-@dataclass
-class Node(DecompositionTree):
-    """A gluing by element names; a split records its atom and c* too."""
-    atom: str          # c, the lower unit, or None if not from a split
-    complement: str    # c*, or None
-    a: str
-    b: str
-    pairs: tuple       # phi as (lower name, upper name)
-    lower: DecompositionTree
-    upper: DecompositionTree
+class Node(namedtuple("Node", "atom complement a b pairs lower upper"),
+           DecompositionTree):
+    """A gluing by element names, phi as (lower, upper) pairs; a split
+    records its atom c, the lower unit, and c* too (else both are None)."""
+    __slots__ = ()
 
 
 class _Part(namedtuple("_Part", "join fusion neg names one lo n index")):

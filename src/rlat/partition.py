@@ -6,23 +6,20 @@ carrier. The block bottoms form a distributive sublattice with maximum 0,
 dually isomorphic to the positive cone.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import Report, bits, check_member
 
 
-@dataclass(frozen=True)
-class BooleanBlock:
-    bottom: int
-    top: int
-    elements: tuple  # sorted element ids
+class BooleanBlock(namedtuple("BooleanBlock", "bottom top elements")):
+    """elements: the sorted element ids."""
+    __slots__ = ()
 
 
-@dataclass
-class Partition:
-    blocks: list           # BooleanBlock, sorted by bottom id
-    block_of: list         # element id -> index into blocks
-    skeleton: tuple        # the block bottoms, sorted by id
+class Partition(namedtuple("Partition", "blocks block_of skeleton")):
+    """blocks: BooleanBlock, sorted by bottom id; block_of: element id ->
+    index into blocks; skeleton: the block bottoms, sorted by id."""
+    __slots__ = ()
 
 
 def block(alg, x):

@@ -2,15 +2,14 @@
 semilinearity. Each verdict carries the least counterexample when it fails.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import _absorbed_masks, _transpose, bits, check_member
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
-    holds: bool
-    witness: tuple = None
+class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness",
+                                 defaults=(None,))):
+    __slots__ = ()
 
 
 def distributive_semilattice_table(meet):

@@ -14,7 +14,7 @@ checks; each complete fusion induces one candidate lattice order (see
 _orders_for_fusion), and the full axiom checker is the final filter.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations, product
 
 from .core import FiniteInRL, bits, mask_of, validate
@@ -23,11 +23,8 @@ from .core import FiniteInRL, bits, mask_of, validate
 SIZE_CAP = 7
 
 
-@dataclass
-class Corpus:
-    max_size: int
-    algebras: tuple
-    counts: dict
+class Corpus(namedtuple("Corpus", "max_size algebras counts")):
+    __slots__ = ()
 
 
 def enumerate_up_to_iso(max_size):

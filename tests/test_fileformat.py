@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from rlat import FiniteInRL
+from rlat.cli import run
 from rlat.fileformat import (ParseError, build_spec, dot_export, emit,
                              emit_gluing, load_algebra, parse, parse_gluing,
                              write_tree)
@@ -156,9 +157,12 @@ def two(i):
 
 
 class TestDeepTree:
-    def test_valid_chain_glues_without_recursion(self, tmp_path):
-        # each level glues two(i) on top: a = the lower unit, b = 0_i; the
-        # chain is deeper than a recursion limit lowered to the stack in use
+    """A chain deeper than a recursion limit lowered to the stack in use:
+    each level glues two(i) on top, with a = the lower unit and b = 0_i."""
+
+    def chain(self, tmp_path):
+        """The limit, the level count, the chain as a tree of Leaf and Node
+        and as its glued algebra, with g<i>.gspec files over b<i>.rlat."""
         frame, depth = sys._getframe(), 0
         while frame:
             frame, depth = frame.f_back, depth + 1
@@ -180,6 +184,11 @@ class TestDeepTree:
                         Leaf(up))
             expected = glue(GluingSpec(expected, up, expected.one, 0,
                                        {expected.one: 0})).result
+        assert expected.n == 2 * levels + 2
+        return limit, levels, tree, expected
+
+    def test_valid_chain_glues_without_recursion(self, tmp_path):
+        limit, levels, tree, expected = self.chain(tmp_path)
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(limit)
         try:
@@ -187,9 +196,32 @@ class TestDeepTree:
             rebuilt = reassemble(tree)
         finally:
             sys.setrecursionlimit(old)
-        assert expected.n == 2 * levels + 2
         assert loaded == expected
         assert rebuilt == expected
+
+    def test_chain_decomposes_and_writes_without_recursion(self, tmp_path,
+                                                           capsys):
+        limit, levels, tree, expected = self.chain(tmp_path)
+        (tmp_path / "chain.rlat").write_text(emit(expected), encoding="utf-8")
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            split_tree = decompose(expected)
+            written = write_tree(tree, str(tmp_path / "written"))
+            code = run(["decompose", str(tmp_path / "chain.rlat"),
+                        "--out", str(tmp_path / "cli")])
+        finally:
+            sys.setrecursionlimit(old)
+        out = capsys.readouterr().out.splitlines()
+        assert len(list(split_tree.leaves())) == levels + 1
+        assert reassemble(split_tree) == expected
+        assert written[:3] == [("t.gspec", "node"), ("t0.gspec", "node"),
+                               ("t00.gspec", "node")]
+        assert load_algebra(str(tmp_path / "written" / "t.gspec")) == expected
+        assert code == 0
+        assert out[0].startswith("node t: ")
+        assert len(out) == 2 * (2 * levels + 1)   # a line per part and file
+        assert load_algebra(str(tmp_path / "cli" / "t.gspec")) == expected
 
 
 class TestWriteTree:
