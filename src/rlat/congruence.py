@@ -8,7 +8,7 @@ therefore order-anti-isomorphic to the negative cone.
 
 from collections import namedtuple
 
-from .core import FiniteInRL, bits, check_member
+from .core import FiniteInRL, bits, check_member, mask_of
 
 
 class NegConeFilter(namedtuple("NegConeFilter", "elements generator")):
@@ -88,8 +88,9 @@ def congruence_lattice(alg):
     filters = filters_of_negative_cone(alg)
     generators = tuple(f.generator for f in filters)
     congruences = tuple(_kernel(alg, a) for a in generators)
-    refines = tuple(sum(1 << j for j, g in enumerate(generators)
-                        if alg.leq(g, gi))
+    # generator j is below generator i: lat_dn[gi] in generator indexes
+    index = {g: j for j, g in enumerate(generators)}
+    refines = tuple(mask_of(map(index.__getitem__, bits(alg.lat_dn[gi])))
                     for gi in generators)
     return ConLattice(congruences, generators, refines)
 

@@ -6,6 +6,8 @@ relations are kept as int bitmasks: bit y of row x is set iff x R y.
 """
 
 from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import and_, eq, getitem, itemgetter, ne
 
 
 def bits(mask):
@@ -132,9 +134,8 @@ class FiniteInRL:
 
     @cached_property
     def lat_up(self):
-        # row x: elements above x in the lattice order
-        return tuple(mask_of(y for y in range(self.n) if self.join[x][y] == y)
-                     for x in range(self.n))
+        # row x: elements above x in the lattice order, {y : x v y = y}
+        return _eq_masks(self.join, repeat(range(self.n)))
 
     @cached_property
     def lat_dn(self):
@@ -151,16 +152,17 @@ class FiniteInRL:
 
     @cached_property
     def meet(self):
+        # De Morgan: x ^ y = neg(neg x v neg y)
         neg = self.neg
-        return [[neg[self.join[neg[x]][neg[y]]] for y in range(self.n)]
-                for x in range(self.n)]
+        return [list(map(neg.__getitem__, map(row.__getitem__, neg)))
+                for row in map(self.join.__getitem__, neg)]
 
     @cached_property
     def imp(self):
-        # residual: x -> y = neg(neg(y) . x)
+        # residual: x -> y = neg(neg(y) . x), column x of fusion read at neg y
         neg = self.neg
-        return [[neg[self.fusion[neg[y]][x]] for y in range(self.n)]
-                for x in range(self.n)]
+        return [list(map(neg.__getitem__, map(col.__getitem__, neg)))
+                for col in zip(*self.fusion)]
 
     @cached_property
     def pos_cone(self):
@@ -183,20 +185,28 @@ class FiniteInRL:
         return self.fusion[x][self.neg[x]], self.join[x][self.neg[x]]
 
 
+def _eq_masks(rows, probes):
+    """Row x: the mask of {y : rows[x][y] == probes[x][y]}."""
+    pow2 = [1 << y for y in range(len(rows))]
+    return tuple(sum(compress(pow2, map(eq, row, probe)))
+                 for row, probe in zip(rows, probes))
+
+
 def _absorbed_masks(table):
     """Row x: the mask of {y : x op y = x}, the up-set of x when op is a meet."""
-    return tuple(mask_of(y for y, v in enumerate(row) if v == x)
-                 for x, row in enumerate(table))
+    return _eq_masks(table, map(repeat, range(len(table))))
+
+
+def _bit_strings(masks, n):
+    """Each mask as n characters '0'/'1', character y for bit y."""
+    fmt = "0%db" % n
+    return [format(m, fmt)[::-1] for m in masks]
 
 
 def _transpose(rows):
-    n = len(rows)
-    cols = [0] * n
-    for x in range(n):
-        row = rows[x]
-        for y in bits(row):
-            cols[y] |= 1 << x
-    return tuple(cols)
+    """Column y: the mask of {x : bit y of rows[x] is set}."""
+    cols = zip(*_bit_strings(rows, len(rows)))   # column y: bit y by row
+    return tuple(int("".join(col)[::-1], 2) for col in cols)
 
 
 def _covers(up):
@@ -216,69 +226,64 @@ def validate(alg):
 
     The first failing tuple (by element index, scanned lexicographically) is
     recorded per axiom. All checks passing certifies membership in the class.
-    Associativity and distributivity are decided by bitmask fast paths; their
-    O(n^3) lexicographic scans run only to name the witness of a failure, so
-    the report is the one the scans alone would give.
+    Each check compares whole rows inside operator and itertools code: the
+    interpreter loops over rows, never over tuples, and searches cell by
+    cell only the first row that differs, so the witness is the first
+    failing tuple. Associativity is decided by O(n^2) bitmask checks and
+    distributivity follows from the other nine axioms; their O(n^3) row
+    scans run only to name the witness of a failure, so the report is the
+    one a plain lexicographic scan would give.
     """
     n = alg.n
     jn, fu, ng = alg.join, alg.fusion, alg.neg
+    rng = range(n)
     rep = Report()
 
-    def first_pair(pred):
-        for x in range(n):
-            for y in range(n):
-                if not pred(x, y):
-                    return (x, y)
-        return None
-
-    def first_triple(pred):
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if not pred(x, y, z):
-                        return (x, y, z)
-        return None
-
     def first_idempotence_failure(t):
-        return next(((x,) for x in range(n) if t[x][x] != x), None)
-
-    def first_associativity_failure(t):
-        return first_triple(lambda x, y, z: t[t[x][y]][z] == t[x][t[y][z]])
+        x = _first_ne(map(getitem, t, rng), rng)
+        return None if x is None else (x,)
 
     # with commutativity, {y : x v y = y} is the lattice up-set of x
-    comm = first_pair(lambda x, y: jn[x][y] == jn[y][x])
+    comm = _first_difference(jn, map(list, zip(*jn)))
     idem = first_idempotence_failure(jn)
     semilattice = (comm is None and idem is None
                    and _is_semilattice(jn, alg.lat_up))
-    w = None if semilattice else first_associativity_failure(jn)
+    w = None if semilattice else _first_associativity_failure(jn)
     rep.add("join commutative", comm is None, comm)
     rep.add("join associative", w is None, w)
     rep.add("join idempotent", idem is None, idem)
 
     # with commutativity, {y : x.y = y} is the monoidal down-set of x
-    comm = first_pair(lambda x, y: fu[x][y] == fu[y][x])
+    comm = _first_difference(fu, map(list, zip(*fu)))
     idem = first_idempotence_failure(fu)
     semilattice = (comm is None and idem is None
                    and _is_semilattice(fu, alg.mon_dn))
-    w = None if semilattice else first_associativity_failure(fu)
+    w = None if semilattice else _first_associativity_failure(fu)
     rep.add("fusion commutative", comm is None, comm)
     rep.add("fusion associative", w is None, w)
-    w = next(((x,) for x in range(n) if fu[alg.one][x] != x), None)
-    rep.add("fusion unit", w is None, w)
+    x = _first_ne(fu[alg.one], rng)
+    rep.add("fusion unit", x is None, (x,))
     rep.add("fusion idempotent", idem is None, idem)
 
-    w = next(((x,) for x in range(n) if ng[ng[x]] != x), None)
-    rep.add("involution", w is None, w)
+    x = _first_ne(map(ng.__getitem__, ng), rng)
+    rep.add("involution", x is None, (x,))
 
-    zero = ng[alg.one]
-
-    def resid(x, y):
-        below_neg = jn[x][ng[y]] == ng[y]
-        prod_below_zero = jn[fu[x][y]][zero] == zero
-        sym = jn[y][ng[x]] == ng[x]
-        return below_neg == prod_below_zero == sym
-
-    w = first_pair(resid)
+    # x <= neg y  iff  x.y <= 0  iff  y <= neg x, as rows over y of '0'/'1'
+    # read from the join fixed points: bit v of lat_up[u], and bit u of
+    # lat_dn[v], is whether u v v = v. On one element each read gives a
+    # character, not a tuple, and the three still compare equal.
+    up, dn = _bit_strings(alg.lat_up, n), _bit_strings(alg.lat_dn, n)
+    below_zero = dn[alg.zero]
+    read_neg, read_all = itemgetter(*ng), itemgetter(*rng)
+    w = None
+    for x, (row_up, row_fu) in enumerate(zip(up, fu)):
+        lhs = read_neg(row_up)
+        prod = itemgetter(*row_fu)(below_zero)
+        rhs = read_all(dn[ng[x]])
+        if not lhs == prod == rhs:
+            w = (x, next(y for y in rng
+                         if not lhs[y] == prod[y] == rhs[y]))
+            break
     rep.add("residuation", w is None, w)
 
     if rep.ok:
@@ -293,10 +298,51 @@ def validate(alg):
         # x.y <= u and x.z <= u iff x.y v x.z <= u, for every u.
         w = None
     else:
-        w = first_triple(
-            lambda x, y, z: fu[x][jn[y][z]] == jn[fu[x][y]][fu[x][z]])
+        # row x over (y, z): fu[x] read through jn against jn[fu[x][y]]
+        # read through fu[x]; the one algebra of size 1 never gets here, so
+        # each itemgetter has two or more indexes and returns a tuple
+        read_jn = itemgetter(*chain.from_iterable(jn))
+        w = _first_flat_difference(
+            map(read_jn, fu),
+            (tuple(chain.from_iterable(
+                map(itemgetter(*row), map(jn.__getitem__, row))))
+             for row in fu), n)
     rep.add("fusion distributes over join", w is None, w)
     return rep
+
+
+def _first_ne(values, expected):
+    """The first index where two sequences differ, or None."""
+    return next(compress(count(), map(ne, values, expected)), None)
+
+
+def _first_difference(rows, others):
+    """The first (x, y) with rows[x][y] != others[x][y], or None. Rows are
+    compared whole; only the first pair that differs is searched by cell."""
+    for x, (row, other) in enumerate(zip(rows, others)):
+        if row != other:
+            return x, _first_ne(row, other)
+    return None
+
+
+def _first_flat_difference(rows, others, n):
+    """_first_difference over rows that flatten an n x n block per x, as
+    the triple (x, y, z)."""
+    w = _first_difference(rows, others)
+    return None if w is None else (w[0],) + divmod(w[1], n)
+
+
+def _first_associativity_failure(t):
+    """The first (x, y, z) with t[t[x][y]][z] != t[x][t[y][z]], or None.
+
+    Row x over (y, z): the rows t[t[x][y]] against t[x] read through t.
+    The one table of size 1 is a semilattice and never gets here, so the
+    itemgetter has two or more indexes and returns a tuple.
+    """
+    read_t = itemgetter(*chain.from_iterable(t))
+    return _first_flat_difference(
+        (tuple(chain.from_iterable(map(t.__getitem__, row))) for row in t),
+        map(read_t, t), len(t))
 
 
 class Rejected(ValueError):
@@ -328,13 +374,9 @@ def _is_semilattice(table, up):
     is up[x op y] == up[x] & up[y] for all x <= y (by index): this makes the
     relation a partial order, and least upper bounds are associative.
     """
-    n = len(table)
-    for x in range(n):
-        ux, row = up[x], table[x]
-        for y in range(x + 1, n):
-            if up[row[y]] != ux & up[y]:
-                return False
-    return True
+    return all(list(map(up.__getitem__, row[x + 1:]))
+               == list(map(and_, repeat(ux), up[x + 1:]))
+               for x, (ux, row) in enumerate(zip(up, table)))
 
 
 def elementary_properties(alg):
@@ -461,9 +503,11 @@ def find_isomorphism(a, b):
             minv[u] = -1
         return False
 
-    if extend(0):
-        return list(m)
-    return None
+    found = extend(0)
+    # extend refers to itself, so drop it: a and b, with their tables and
+    # masks, are then freed on return, not at the next cyclic collection
+    extend = None
+    return list(m) if found else None
 
 
 def subalgebra_generated(alg, seeds):

@@ -26,10 +26,13 @@ def block(alg, x):
     """The Boolean block containing x.
 
     The bottom is computed both as meet(x, neg x) and as fusion(x, neg x);
-    a mismatch means the input tables are corrupted.
+    a mismatch means the input tables are corrupted. The meet is the one
+    cell neg(neg x v neg neg x) of De Morgan's formula, not a row of the
+    meet table.
     """
-    nx = alg.neg[x]
-    bottom = alg.meet[x][nx]
+    ng = alg.neg
+    nx = ng[x]
+    bottom = ng[alg.join[nx][ng[nx]]]
     if alg.fusion[x][nx] != bottom:
         raise ValueError(
             "block bottom cross-check failed at %s: meet and fusion disagree"

@@ -113,6 +113,9 @@ def _enumerate_size(n):
         fusion[i][j] = fusion[j][i] = None
 
     fill(0)
+    # fill refers to itself, so drop it: the tables and permutations it
+    # holds are then freed on return, not at the next cyclic collection
+    fill = None
     return [found[key] for key in sorted(found)]
 
 

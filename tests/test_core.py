@@ -1,3 +1,7 @@
+import gc
+import itertools
+import random
+
 import pytest
 
 from oracles import (meet_infimum_witness, naive_isomorphic,
@@ -129,6 +133,18 @@ def single_cell_mutants(alg):
                             yield alg.join, t
 
 
+def every_signature(*sizes):
+    """Every unit, neg map, join table and fusion table on each size."""
+    for n in sizes:
+        names = [str(x) for x in range(n)]
+        maps = list(itertools.product(range(n), repeat=n))
+        tables = [[list(t[i:i + n]) for i in range(0, n * n, n)]
+                  for t in itertools.product(range(n), repeat=n * n)]
+        for one, neg, join, fusion in itertools.product(range(n), maps,
+                                                        tables, tables):
+            yield FiniteInRL(names, one, neg, join, fusion)
+
+
 class TestValidateAgainstScan:
     """validate's fast paths must report what the plain lexicographic scan
     reports: the same verdict and the same first witness per axiom."""
@@ -151,6 +167,36 @@ class TestValidateAgainstScan:
         for alg in corpus6.algebras:
             assert validate(alg).checks == \
                 scan_axioms(alg.one, alg.neg, alg.join, alg.fusion)
+
+    def test_every_table_of_size_one_and_two(self):
+        # on one element itemgetter with a single index returns a scalar,
+        # not a tuple
+        count = 0
+        for alg in every_signature(1, 2):
+            assert validate(alg).checks == scan_axioms(
+                alg.one, alg.neg, alg.join, alg.fusion), alg
+            count += 1
+        assert count == 1 + 2 * 4 * 16 * 16
+
+    @pytest.mark.parametrize("which", ["bool5", "an4"])
+    def test_seeded_mutants_on_long_rows(self, which):
+        # n = 32 and 22: the row comparisons run on long rows
+        alg = {"bool5": boolean_algebra(5), "an4": build_an(4)}[which]
+        rng = random.Random(9)
+        n = alg.n
+        for i in range(48):
+            label = rng.choice(("join", "fusion"))
+            x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            t = [row[:] for row in getattr(alg, label)]
+            t[x][y] = v
+            if i % 2:
+                t[y][x] = v
+            tables = {"join": alg.join, "fusion": alg.fusion, label: t}
+            bad = FiniteInRL(alg.names, alg.one, alg.neg, tables["join"],
+                             tables["fusion"])
+            assert validate(bad).checks == scan_axioms(
+                alg.one, alg.neg, tables["join"], tables["fusion"]), \
+                (label, x, y, v)
 
     def test_fast_path_accepts_members(self, a1, corpus6):
         # a member never falls back to the O(n^3) associativity scan
@@ -189,6 +235,25 @@ class TestDerived:
                                   if a1.leq(a1.one, x))
         assert a1.neg_cone == sum(1 << x for x in range(n)
                                   if a1.leq(x, a1.one))
+
+    def test_order_masks_and_tables_match_plain_loops(self, order_corpus):
+        # members and non-members alike, the tables of size 2 also one-sided
+        # (not commutative); bit y of a mask row x is x R y
+        for alg in itertools.chain(order_corpus, every_signature(2)):
+            n, jn, fu, ng = alg.n, alg.join, alg.fusion, alg.neg
+            rng = range(n)
+
+            def masks(rel):
+                return tuple(sum(1 << y for y in rng if rel(x, y))
+                             for x in rng)
+
+            assert alg.lat_up == masks(lambda x, y: jn[x][y] == y)
+            assert alg.lat_dn == masks(lambda x, y: jn[y][x] == x)
+            assert alg.mon_up == masks(lambda x, y: fu[x][y] == x)
+            assert alg.mon_dn == masks(lambda x, y: fu[y][x] == y)
+            assert alg.meet == [[ng[jn[ng[x]][ng[y]]] for y in rng]
+                                for x in rng]
+            assert alg.imp == [[ng[fu[ng[y]][x]] for y in rng] for x in rng]
 
     def test_fixture_cover_counts(self, a1):
         assert (len(a1.lat_covers), len(a1.mon_covers)) == (13, 12)
@@ -266,6 +331,19 @@ class TestIsomorphism:
             for y in small:
                 got = find_isomorphism(x, y) is not None
                 assert got == naive_isomorphic(x, y)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the search's recursive closure must not keep a and b alive until
+        # the cycle collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            a, b = build_an(2), build_an(2)
+            assert find_isomorphism(a, b) is not None
+            del a, b
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSubalgebra:

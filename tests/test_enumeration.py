@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -32,6 +33,17 @@ class TestCorpus:
         second = enumerate_up_to_iso(4)
         assert [emit(g) for g in first.algebras] \
             == [emit(g) for g in second.algebras]
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the search's recursive closure must not keep its tables and
+        # permutations alive until the cycle collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_up_to_iso(4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_output_unchanged(self, corpus6):
         # pins the emitted size-6 corpus byte for byte
