@@ -144,7 +144,7 @@ def _cmd_enum(args):
 def _cmd_prop(args):
     from . import props
     alg = _read_algebra(args.file)
-    if args.name != "distr-semilattice":   # the one that checks its input
+    if args.name == "semilinear":   # the one that does not check its input
         check_member(alg)
     verdict = getattr(props, _PROPS[args.name])(alg)
     if verdict.holds:

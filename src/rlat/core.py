@@ -5,6 +5,7 @@ An algebra is stored as the signature (join, fusion, neg, 1) over elements
 relations are kept as int bitmasks: bit y of row x is set iff x R y.
 """
 
+from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import and_, eq, getitem, itemgetter, ne
@@ -298,15 +299,8 @@ def validate(alg):
         # x.y <= u and x.z <= u iff x.y v x.z <= u, for every u.
         w = None
     else:
-        # row x over (y, z): fu[x] read through jn against jn[fu[x][y]]
-        # read through fu[x]; the one algebra of size 1 never gets here, so
-        # each itemgetter has two or more indexes and returns a tuple
-        read_jn = itemgetter(*chain.from_iterable(jn))
-        w = _first_flat_difference(
-            map(read_jn, fu),
-            (tuple(chain.from_iterable(
-                map(itemgetter(*row), map(jn.__getitem__, row))))
-             for row in fu), n)
+        # the one algebra of size 1 passes every axiom, so never gets here
+        w = _first_distributivity_failure(fu, jn)
     rep.add("fusion distributes over join", w is None, w)
     return rep
 
@@ -330,6 +324,22 @@ def _first_flat_difference(rows, others, n):
     the triple (x, y, z)."""
     w = _first_difference(rows, others)
     return None if w is None else (w[0],) + divmod(w[1], n)
+
+
+def _first_distributivity_failure(op, jn):
+    """The first (x, y, z) with op[x][jn[y][z]] != jn[op[x][y]][op[x][z]],
+    or None.
+
+    Row x over (y, z): op[x] read through jn against jn[op[x][y]] read
+    through op[x]. Callers scan only tables of size 2 or more, so each
+    itemgetter has two or more indexes and returns a tuple.
+    """
+    read_jn = itemgetter(*chain.from_iterable(jn))
+    return _first_flat_difference(
+        map(read_jn, op),
+        (tuple(chain.from_iterable(
+            map(itemgetter(*row), map(jn.__getitem__, row))))
+         for row in op), len(op))
 
 
 def _first_associativity_failure(t):
@@ -423,89 +433,100 @@ def elementary_properties(alg):
     return rep
 
 
-def _block_size(alg, x):
-    bottom, top = alg.block_bounds(x)
-    return bin(alg.mon_up[bottom] & alg.mon_dn[top]).count("1")
-
-
 def _fingerprints(alg):
-    out = []
-    for x in range(alg.n):
-        out.append((
-            bin(alg.lat_up[x]).count("1"),
-            bin(alg.lat_dn[x]).count("1"),
-            bin(alg.mon_up[x]).count("1"),
-            bin(alg.mon_dn[x]).count("1"),
-            _block_size(alg, x),
-            x == alg.one,
-            alg.neg[x] == x,
-        ))
-    return out
+    """Per-element isomorphism invariants, each counted along one table row
+    in C: the sizes of the lattice up- and down-sets and of the monoidal up-
+    and down-sets, the size of the Boolean block (the elements sharing the
+    block bounds x.neg x and x v neg x), and whether x is the unit or fixed
+    by neg. Any value computed from the tables alone is an invariant, so
+    none of them needs the order masks."""
+    jn, fu, ng, rng = alg.join, alg.fusion, alg.neg, range(alg.n)
+    bounds = list(zip(map(getitem, fu, ng), map(getitem, jn, ng)))
+    block = Counter(bounds)
+    return list(zip(
+        [sum(map(eq, row, rng)) for row in jn],    # {y : x v y = y}
+        map(list.count, jn, rng),                  # {y : x v y = x}
+        map(list.count, fu, rng),                  # {y : x.y = x}
+        [sum(map(eq, row, rng)) for row in fu],    # {y : x.y = y}
+        map(block.__getitem__, bounds),
+        map(alg.one.__eq__, rng),
+        map(eq, ng, rng)))
 
 
-def _is_isomorphism(a, b, m):
-    for x in range(a.n):
-        if m[a.neg[x]] != b.neg[m[x]]:
-            return False
-        for y in range(a.n):
-            if m[a.join[x][y]] != b.join[m[x]][m[y]]:
-                return False
-            if m[a.fusion[x][y]] != b.fusion[m[x]][m[y]]:
-                return False
-    return m[a.one] == b.one
+def _preserves(a, b, m):
+    """Whether the bijection m: a -> b maps a's unit, neg, join and fusion
+    to b's. Whole rows are compared: m read along row x of a's table against
+    row m[x] of b's table read at m."""
+    read_m = itemgetter(*m)
+    if m[a.one] != b.one or itemgetter(*a.neg)(m) != read_m(b.neg):
+        return False
+    return all(itemgetter(*row)(m) == read_m(tb[u])
+               for ta, tb in ((a.join, b.join), (a.fusion, b.fusion))
+               for row, u in zip(ta, m))
 
 
 def find_isomorphism(a, b):
     """A signature-preserving bijection a -> b as a list, or None.
 
-    Search is pruned by per-element invariants (cone and block sizes) and by
-    checking partial table consistency while extending the map.
+    Each element's invariants (cone and block sizes, unit and fixed-point
+    flags) are counted along table rows, without the order masks. When they
+    single out every element the map is forced, and it is checked and
+    returned or refused; otherwise a backtracking search tries the elements
+    of each invariant class, checking each placement against the elements
+    already mapped along table rows. Every map returned has been checked
+    whole, row by row.
     """
-    if a.n != b.n:
-        return None
     fa, fb = _fingerprints(a), _fingerprints(b)
-    if sorted(fa) != sorted(fb):
+    if sorted(fa) != sorted(fb):     # also when the sizes differ
         return None
-    cands = [[u for u in range(b.n) if fb[u] == fa[x]] for x in range(a.n)]
-    order = sorted(range(a.n), key=lambda x: (len(cands[x]), x))
+    classes = {}                 # invariants -> the elements of b with them
+    for u, f in enumerate(fb):
+        classes.setdefault(f, []).append(u)
+    cands = list(map(classes.__getitem__, fa))
+    if len(classes) == b.n:      # every class is a singleton: m is forced
+        m = list(chain.from_iterable(cands))
+        return m if _preserves(a, b, m) else None
+    order = sorted(range(a.n), key=lambda x: len(cands[x]))  # ties by id
     m = [-1] * a.n
     minv = [-1] * b.n
+    placed = []                  # the mapped elements of a, in order
+    seen = [-1] * a.n            # seen[z] = z once z is mapped
 
     def consistent(x, u):
-        nx = a.neg[x]
-        if m[nx] != -1 and m[nx] != b.neg[u]:
+        # z in a and w in b, as z = neg x and w = neg u, or z = x op y and
+        # w = u op m[y] for each mapped y (x among them), have m[z] = w,
+        # that is minv[w] = z, or are both unmapped, minv[w] = -1 = seen[z];
+        # the rows of x and u are read in C up to the first mismatch. On
+        # commutative tables a row is also the column; on others the final
+        # check of the map still decides.
+        if minv[b.neg[u]] != seen[a.neg[x]]:
             return False
-        for y in range(a.n):
-            if m[y] == -1:
-                continue
-            v = m[y]
-            for ta, tb in ((a.join, b.join), (a.fusion, b.fusion)):
-                for za, zb in ((ta[x][y], tb[u][v]), (ta[y][x], tb[v][u])):
-                    if m[za] != -1:
-                        if m[za] != zb:
-                            return False
-                    elif minv[zb] != -1:
-                        return False
+        vs = list(map(m.__getitem__, placed))
+        for ta, tb in ((a.join, b.join), (a.fusion, b.fusion)):
+            want = map(minv.__getitem__, map(tb[u].__getitem__, vs))
+            have = map(seen.__getitem__, map(ta[x].__getitem__, placed))
+            if not all(map(eq, want, have)):
+                return False
         return True
 
     def extend(i):
         if i == a.n:
-            return _is_isomorphism(a, b, m)
+            return _preserves(a, b, m)
         x = order[i]
         for u in cands[x]:
             if minv[u] != -1:
                 continue
-            m[x] = u
-            minv[u] = x
+            m[x], minv[u], seen[x] = u, x, x
+            placed.append(x)
             if consistent(x, u) and extend(i + 1):
                 return True
-            m[x] = -1
-            minv[u] = -1
+            placed.pop()
+            m[x] = minv[u] = seen[x] = -1
         return False
 
     found = extend(0)
-    # extend refers to itself, so drop it: a and b, with their tables and
-    # masks, are then freed on return, not at the next cyclic collection
+    # extend refers to itself, so drop it: a and b, with their tables, are
+    # then freed on return, not at the next cyclic collection
     extend = None
     return list(m) if found else None
 

@@ -71,12 +71,17 @@ def _split(alg, ids, one, c):
     c_star = next(cs for cs in bits(pos)
                   if (low_cone | (pos & mon_up[cs])) == pos
                   and not (low_cone & mon_up[cs]))
-    neg_cs = alg.neg[c_star]
+    ng, join = alg.neg, alg.join
+    neg_cs = ng[c_star]
     lower = mon_dn[c] & ids
     a = alg.fusion[c][neg_cs]
-    na, meet, join = alg.neg[a], alg.meet, alg.join
-    return (c_star, lower, mon_up[neg_cs] & ids, a, join[meet[c][na]][neg_cs],
-            [(x, join[meet[x][na]][neg_cs]) for x in bits(mon_up[a] & lower)])
+
+    def phi(x):
+        # (x ^ neg a) v neg c*, the meet read by De Morgan as neg(neg x v a)
+        return join[ng[join[ng[x]][a]]][neg_cs]
+
+    return (c_star, lower, mon_up[neg_cs] & ids, a, phi(c),
+            [(x, phi(x)) for x in bits(mon_up[a] & lower)])
 
 
 def decompose(alg):

@@ -58,21 +58,23 @@ def parse(text):
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
 
-    def resolve(lineno, token):
-        if token not in index:
-            raise ParseError(lineno, "undeclared element %r" % token)
-        return index[token]
+    def resolve(lineno, tokens):
+        try:
+            return list(map(index.__getitem__, tokens))
+        except KeyError:
+            bad = next(t for t in tokens if t not in index)
+            raise ParseError(lineno, "undeclared element %r" % bad) from None
 
     lineno, tokens = groups["one"][0]
     if len(tokens) != 1:
         raise ParseError(lineno, "section 'one' needs exactly one token")
-    one = resolve(lineno, tokens[0])
+    one, = resolve(lineno, tokens)
 
     lineno, tokens = groups["neg"][0]
     if len(tokens) != n:
         raise ParseError(lineno, "section 'neg' needs %d tokens, got %d"
                          % (n, len(tokens)))
-    neg = [resolve(lineno, t) for t in tokens]
+    neg = resolve(lineno, tokens)
 
     tables = {}
     for key in ("join", "fusion"):
@@ -86,7 +88,7 @@ def parse(text):
             if len(tokens) != n:
                 raise ParseError(lineno, "row needs %d tokens, got %d"
                                  % (n, len(tokens)))
-            table.append([resolve(lineno, t) for t in tokens])
+            table.append(resolve(lineno, tokens))
         tables[key] = table
     return FiniteInRL(names, one, neg, tables["join"], tables["fusion"])
 
@@ -96,10 +98,10 @@ def emit(alg):
     names = alg.names
     lines = ["elements " + " ".join(names),
              "one " + names[alg.one],
-             "neg " + " ".join(names[v] for v in alg.neg)]
+             "neg " + " ".join(map(names.__getitem__, alg.neg))]
     for key, table in (("join", alg.join), ("fusion", alg.fusion)):
         for row in table:
-            lines.append(key + " " + " ".join(names[v] for v in row))
+            lines.append(key + " " + " ".join(map(names.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 

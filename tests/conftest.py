@@ -24,6 +24,15 @@ def corpus6():
 
 
 @pytest.fixture(scope="session")
+def corpus7(corpus6):
+    """The members of size <= 7 up to isomorphism: the size-6 corpus and
+    the four members of size 7 that `rlat enum 7 --out` writes (files
+    n7_0..n7_3), kept as files because enumerating size 7 takes seconds."""
+    sevens = sorted((FIXTURES / "size7").glob("n7_*.rlat"))
+    return list(corpus6.algebras) + [load_algebra(str(p)) for p in sevens]
+
+
+@pytest.fixture(scope="session")
 def sample_spec():
     from rlat.fileformat import build_spec, parse_gluing
     text = (FIXTURES / "sample.gspec").read_text(encoding="utf-8")

@@ -118,6 +118,26 @@ def meet_infimum_witness(join, meet):
     return None
 
 
+def lattice_distributivity_witness(join):
+    """First (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z), or None. The
+    meet is the greatest lower bound in the order u <= v iff u v v = v,
+    found by search, so join must be a lattice's."""
+    n = len(join)
+    rng = range(n)
+
+    def meet(x, y):
+        lower = [z for z in rng if join[z][x] == x and join[z][y] == y]
+        return next(z for z in lower if all(join[w][z] == z for w in lower))
+
+    mt = [[meet(x, y) for y in rng] for x in rng]
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                if mt[x][join[y][z]] != join[mt[x][y]][mt[x][z]]:
+                    return (x, y, z)
+    return None
+
+
 def semilattice_distributivity_witness(meet):
     """First (x, y, z) with meet(x, y) <= z such that no x' >= x and
     y' >= y have meet(x', y') = z, or None; u <= v iff meet(u, v) = u."""

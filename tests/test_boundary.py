@@ -13,7 +13,7 @@ from rlat.decompose import Leaf, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra
 from rlat.gluing import GluingSpec, glue
 from rlat.partition import partition
-from rlat.props import is_distributive_semilattice
+from rlat.props import is_distributive_semilattice, is_lattice_distributive
 
 
 def rejected_mutants(alg):
@@ -63,6 +63,7 @@ def entry_points(a1):
         "quotient": lambda m: quotient(m, theta),
         "reassemble": lambda m: reassemble(Leaf(m)),
         "is_distributive_semilattice": is_distributive_semilattice,
+        "is_lattice_distributive": is_lattice_distributive,
     }
 
 

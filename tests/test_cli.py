@@ -283,6 +283,7 @@ class TestOneCheckPerInput:
         # one per leaf file and one per spec file: build_an(8) has 10
         # blocks
         (("reassemble", "tree"), (10, 9)),
+        (("prop", "distr-lattice", "an8.rlat"), (1, 0)),
     ])
     def test_calls_per_command(self, capsys, monkeypatch, inputs, argv,
                                checks):
@@ -299,7 +300,8 @@ class TestOneCheckPerInput:
         argv = [str(inputs / a) if a.endswith((".rlat", ".gspec", "tree"))
                 else a for a in argv]
         code, _, err = invoke(capsys, *argv)
-        assert err == "" and code in (0, 1)   # an(8) is not semilinear
+        # an(8) is neither semilinear nor lattice distributive
+        assert err == "" and code in (0, 1)
         assert (calls[validate], calls[validate_gluing]) == checks
 
 

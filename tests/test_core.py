@@ -8,7 +8,7 @@ from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
                   find_isomorphism, subalgebra_generated, validate)
-from rlat.core import _is_semilattice
+from rlat.core import _fingerprints, _is_semilattice
 from rlat.generate import boolean_algebra, build_an
 
 
@@ -302,6 +302,54 @@ class TestElementaryProperties:
                 assert a1.leq(f, a1.join[x][y])
 
 
+def relabelled(alg, perm):
+    """A copy of alg with element x moved to id perm[x], keeping its name."""
+    n = alg.n
+    inv = [0] * n
+    for x, p in enumerate(perm):
+        inv[p] = x
+    return FiniteInRL([alg.names[x] for x in inv], perm[alg.one],
+                      [perm[alg.neg[x]] for x in inv],
+                      [[perm[alg.join[x][y]] for y in inv] for x in inv],
+                      [[perm[alg.fusion[x][y]] for y in inv] for x in inv])
+
+
+def graph_algebra(n, edges):
+    """Join and fusion both x op y = y for adjacent x, y and x otherwise,
+    with unit 0 and neg the identity; not a member. Every element's
+    invariants count its neighbours, so on a regular graph all elements but
+    the unit share them, and an isomorphism is a graph isomorphism fixing
+    0."""
+    adjacent = {(x, y) for x, y in edges} | {(y, x) for x, y in edges}
+    table = [[y if (x, y) in adjacent else x for y in range(n)]
+             for x in range(n)]
+    return FiniteInRL([str(x) for x in range(n)], 0, list(range(n)),
+                      table, table)
+
+
+def neg_variants(alg):
+    """alg with neg changed at two elements, every way."""
+    for p, q in itertools.combinations(range(alg.n), 2):
+        for u, w in itertools.product(range(alg.n), repeat=2):
+            neg = list(alg.neg)
+            neg[p], neg[q] = u, w
+            if neg != alg.neg:
+                yield FiniteInRL(alg.names, alg.one, neg, alg.join,
+                                 alg.fusion)
+
+
+def assert_isomorphism(a, b, m):
+    """m is a bijection a -> b preserving the unit, neg, join and fusion,
+    checked cell by cell."""
+    assert sorted(m) == list(range(b.n))
+    assert m[a.one] == b.one
+    for x in range(a.n):
+        assert m[a.neg[x]] == b.neg[m[x]]
+        for y in range(a.n):
+            assert m[a.join[x][y]] == b.join[m[x]][m[y]]
+            assert m[a.fusion[x][y]] == b.fusion[m[x]][m[y]]
+
+
 class TestIsomorphism:
     def test_fixture_matches_generated_member(self, a1):
         m = find_isomorphism(build_an(1), a1)
@@ -309,14 +357,7 @@ class TestIsomorphism:
 
     def test_returned_map_commutes_with_operations(self, a1):
         src = build_an(1)
-        m = find_isomorphism(src, a1)
-        assert sorted(m) == list(range(a1.n))
-        assert m[src.one] == a1.one
-        for x in range(src.n):
-            assert m[src.neg[x]] == a1.neg[m[x]]
-            for y in range(src.n):
-                assert m[src.join[x][y]] == a1.join[m[x]][m[y]]
-                assert m[src.fusion[x][y]] == a1.fusion[m[x]][m[y]]
+        assert_isomorphism(src, a1, find_isomorphism(src, a1))
 
     def test_symmetric_in_success_and_failure(self, corpus6):
         four = [g for g in corpus6.algebras if g.n == 4]
@@ -325,12 +366,98 @@ class TestIsomorphism:
         assert find_isomorphism(four[1], four[0]) is None
         assert find_isomorphism(four[0], boolean_algebra(3)) is None
 
-    def test_agrees_with_permutation_search(self, corpus6):
-        small = [g for g in corpus6.algebras if g.n <= 4]
-        for x in small:
-            for y in small:
-                got = find_isomorphism(x, y) is not None
-                assert got == naive_isomorphic(x, y)
+    def test_agrees_with_permutation_search(self, corpus7):
+        found = 0
+        for x in corpus7:
+            for y in corpus7:
+                m = find_isomorphism(x, y)
+                assert (m is not None) == naive_isomorphic(x, y)
+                if m is not None:
+                    assert_isomorphism(x, y, m)
+                    found += 1
+        assert found == len(corpus7) == 15
+
+    def test_relabelled_families(self):
+        # build_an(k) has a forced map; boolean_algebra(k)'s atoms share
+        # their invariants, so it takes the search
+        rng = random.Random(10)
+        algs = ([build_an(k) for k in range(7)]
+                + [boolean_algebra(k) for k in range(5)])
+        for alg in algs:
+            perm = list(range(alg.n))
+            rng.shuffle(perm)
+            copy = relabelled(alg, perm)
+            assert_isomorphism(alg, copy, find_isomorphism(alg, copy))
+            assert_isomorphism(copy, alg, find_isomorphism(copy, alg))
+
+    def test_equal_invariants_not_isomorphic(self):
+        # the 6-cycle and two triangles: 2-regular on 6 vertices, so both
+        # have the same sorted invariants, and they are not isomorphic
+        cycle = graph_algebra(6, [(x, (x + 1) % 6) for x in range(6)])
+        triangles = graph_algebra(6, [(0, 1), (1, 2), (2, 0),
+                                      (3, 4), (4, 5), (5, 3)])
+        assert sorted(_fingerprints(cycle)) == sorted(_fingerprints(triangles))
+        assert len(set(_fingerprints(cycle))) == 2
+        assert not naive_isomorphic(cycle, triangles)
+        assert find_isomorphism(cycle, triangles) is None
+        assert find_isomorphism(triangles, cycle) is None
+        copy = relabelled(cycle, [0, 3, 5, 1, 4, 2])
+        assert naive_isomorphic(cycle, copy)
+        assert_isomorphism(cycle, copy, find_isomorphism(cycle, copy))
+
+    def test_forced_map_is_checked(self, corpus7):
+        # a fusion cell x.y = v changed to w, none of them x or y, and y not
+        # neg x, keeps every element's invariants; where those single out
+        # every element, the one candidate map fails at that cell
+        checked = 0
+        for alg in corpus7:
+            prints = _fingerprints(alg)
+            if len(set(prints)) < alg.n:
+                continue
+            cell = next(((x, y, w) for x in range(alg.n)
+                         for y in range(alg.n) for w in range(alg.n)
+                         if y != alg.neg[x]
+                         and len({x, y, w, alg.fusion[x][y]}) == 4), None)
+            if cell is None:
+                continue
+            x, y, w = cell
+            fusion = [row[:] for row in alg.fusion]
+            fusion[x][y] = w
+            other = FiniteInRL(alg.names, alg.one, alg.neg, alg.join, fusion)
+            assert _fingerprints(other) == prints
+            assert not naive_isomorphic(alg, other)
+            assert find_isomorphism(alg, other) is None
+            assert find_isomorphism(other, alg) is None
+            checked += 1
+        assert checked == 2
+
+    def test_forced_map_checks_neg(self, corpus7):
+        # neg changed at two elements, keeping every element's invariants:
+        # where those single out every element, the one candidate map is
+        # the identity, which keeps join, fusion and the unit but not neg
+        checked = 0
+        for alg in corpus7:
+            prints = _fingerprints(alg)
+            if len(set(prints)) < alg.n:
+                continue
+            other = next((o for o in neg_variants(alg)
+                          if _fingerprints(o) == prints), None)
+            if other is None:
+                continue
+            assert not naive_isomorphic(alg, other)
+            assert find_isomorphism(alg, other) is None
+            assert find_isomorphism(other, alg) is None
+            checked += 1
+        assert checked == 6
+
+    def test_builds_no_order_mask(self):
+        masks = {"lat_up", "lat_dn", "mon_up", "mon_dn"}
+        for alg in (build_an(3), boolean_algebra(3)):
+            a = FiniteInRL(alg.names, alg.one, alg.neg, alg.join, alg.fusion)
+            b = relabelled(alg, list(reversed(range(alg.n))))
+            assert find_isomorphism(a, b) is not None
+            assert not masks & set(vars(a))
+            assert not masks & set(vars(b))
 
     def test_leaves_no_cyclic_garbage(self):
         # the search's recursive closure must not keep a and b alive until

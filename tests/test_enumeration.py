@@ -57,6 +57,14 @@ class TestCorpus:
                     if g.n == probe.n and find_isomorphism(probe, g)]
             assert len(hits) == 1
 
+    def test_size7_files_are_distinct_members(self, corpus7):
+        sevens = [g for g in corpus7 if g.n == 7]
+        assert len(sevens) == 4
+        for i, g in enumerate(sevens):
+            assert validate(g).ok
+            for h in sevens[i + 1:]:
+                assert not naive_isomorphic(g, h)
+
     def test_trivial_member(self, corpus6):
         ones = [g for g in corpus6.algebras if g.n == 1]
         assert len(ones) == 1

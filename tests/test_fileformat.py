@@ -42,6 +42,13 @@ class TestParse:
             parse(TINY.replace("neg 1 0", "neg 1 x"))
         assert "x" in str(exc.value)
 
+    def test_first_undeclared_token_named_with_its_line(self):
+        for text, line in ((TINY.replace("one 1", "one y"), "line 2"),
+                           (TINY.replace("join 1 1", "join y x"), "line 5")):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == line + ": undeclared element 'y'"
+
     def test_ragged_table(self):
         with pytest.raises(ParseError) as exc:
             parse(TINY.replace("join 1 1\n", "join 1\n"))

@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import semilattice_distributivity_witness
+from oracles import (lattice_distributivity_witness,
+                     semilattice_distributivity_witness)
 from rlat import validate
 from rlat.generate import boolean_algebra, build_an
 from rlat.props import (distributive_semilattice_table,
@@ -74,6 +75,18 @@ class TestLatticeDistributivity:
     def test_boolean_holds(self):
         for k in range(4):
             assert is_lattice_distributive(boolean_algebra(k)).holds
+
+    def test_matches_oracle(self, corpus7):
+        # same verdict and same first witness as the triple loop
+        algs = (corpus7 + [build_an(k) for k in range(4)]
+                + [boolean_algebra(k) for k in range(5)])
+        failed = 0
+        for alg in algs:
+            v = is_lattice_distributive(alg)
+            w = lattice_distributivity_witness(alg.join)
+            assert (v.holds, v.witness) == (w is None, w), alg
+            failed += not v.holds
+        assert (len(algs), failed) == (24, 9)
 
 
 class TestSemilinearity:
