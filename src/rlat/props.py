@@ -73,7 +73,9 @@ def is_lattice_distributive(alg):
 
 
 def is_semilinear(alg):
-    """((x -> y) ^ 1) v ((y -> x) ^ 1) = 1 for all pairs."""
+    """((x -> y) ^ 1) v ((y -> x) ^ 1) = 1 for all pairs; raises ValueError
+    on a non-member."""
+    check_member(alg)
     n = alg.n
     one = alg.one
     mt, jn, imp = alg.meet, alg.join, alg.imp

@@ -5,19 +5,24 @@ A negation fixed point x forces x = 0 = 1 (its block collapses), so on an
 odd carrier the unit is the unique fixed point and the rest pair up; on an
 even carrier negation is fixed-point free with neg(0) = 1. Relabeling puts
 the 2-cycles in consecutive positions, so exactly one shape per size exists
-and every isomorphism between two shaped algebras fixes the unit and
-commutes with the involution. Minimizing the tables over that permutation
-group is therefore a complete isomorph rejector.
+and every member has a shaped labelling.
 
 Search: fusion tables are filled cell by cell with incremental associativity
 checks; each complete fusion induces one candidate lattice order (see
 _orders_for_fusion), and the full axiom checker is the final filter.
+
+Duplicates: each member found is compared by core.find_isomorphism with the
+classes already found at its size. The fill tries every associative,
+commutative fusion table with unit 0 under the shaped negation, so it meets
+every shaped labelling of each member; the one a class keeps, the least by
+join bytes then fusion bytes, is therefore that member's least shaped
+relabelling, whichever labelling the search met first.
 """
 
 from collections import namedtuple
-from itertools import combinations, permutations, product
+from itertools import chain, combinations
 
-from .core import FiniteInRL, bits, mask_of, validate
+from .core import FiniteInRL, bits, find_isomorphism, mask_of, validate
 
 # the largest size `rlat enum` finishes in under a minute
 SIZE_CAP = 7
@@ -54,35 +59,16 @@ def _neg_shape(n):
     return neg
 
 
-def _perm_group(n):
-    """Permutations fixing element 0 and commuting with the shaped negation."""
-    start = 1 if n % 2 == 1 else 2
-    pairs = [(i, i + 1) for i in range(start, n, 2)]
-    k = len(pairs)
-    out = []
-    for order in permutations(range(k)):
-        for flips in product((0, 1), repeat=k):
-            perm = list(range(n))
-            for t, (p, q) in enumerate(pairs):
-                tp, tq = pairs[order[t]]
-                if flips[t]:
-                    tp, tq = tq, tp
-                perm[p], perm[q] = tp, tq
-            out.append(tuple(perm))
-    return out
-
-
 def _enumerate_size(n):
     names = ["e%d" % i for i in range(n)]
     neg = _neg_shape(n)
-    perms = _perm_group(n)
     cells = list(combinations(range(1, n), 2))
     fusion = [[None] * n for _ in range(n)]
     for x in range(n):
         fusion[x][x] = x
         fusion[0][x] = fusion[x][0] = x
 
-    found = {}
+    found = []                   # [key, member], one per class
 
     def assoc_ok(i, j):
         # only triples meeting {i, j} can have become newly decidable
@@ -103,7 +89,7 @@ def _enumerate_size(n):
 
     def fill(idx):
         if idx == len(cells):
-            _orders_for_fusion(n, names, neg, fusion, perms, found)
+            _orders_for_fusion(n, names, neg, fusion, found)
             return
         i, j = cells[idx]
         for v in range(n):
@@ -113,13 +99,13 @@ def _enumerate_size(n):
         fusion[i][j] = fusion[j][i] = None
 
     fill(0)
-    # fill refers to itself, so drop it: the tables and permutations it
-    # holds are then freed on return, not at the next cyclic collection
+    # fill refers to itself, so drop it: the tables it holds are then
+    # freed on return, not at the next cyclic collection
     fill = None
-    return [found[key] for key in sorted(found)]
+    return [alg for _, alg in sorted(found)]
 
 
-def _orders_for_fusion(n, names, neg, fusion, perms, found):
+def _orders_for_fusion(n, names, neg, fusion, found):
     # The fusion fixes the order. In a member x <= y iff x . neg(y) <= 0,
     # and the elements below 0 are exactly the block bottoms x . neg(x):
     # if z <= 0 then 1 <= neg(z), so z <= z . neg(z) <= 0, and
@@ -135,11 +121,19 @@ def _orders_for_fusion(n, names, neg, fusion, perms, found):
     if join is None:
         return
     # FiniteInRL copies the tables, so fusion stays free to refill
-    if not validate(FiniteInRL(names, 0, neg, join, fusion)).ok:
+    alg = FiniteInRL(names, 0, neg, join, fusion)
+    if not validate(alg).ok:
         return
-    key, canon = _canonicalize(n, names, neg, join, fusion, perms)
-    if key not in found:
-        found[key] = canon
+    # The fill meets every shaped labelling of each member, so keeping the
+    # least key in each class keeps that class's least shaped relabelling:
+    # the same table whichever labelling the search reaches first.
+    key = bytes(chain(*alg.join, *alg.fusion))
+    for entry in found:
+        if find_isomorphism(alg, entry[1]) is not None:
+            if key < entry[0]:
+                entry[:] = key, alg
+            return
+    found.append([key, alg])
 
 
 def _join_table(n, up):
@@ -161,24 +155,3 @@ def _join_table(n, up):
                 return None
             join[x][y] = join[y][x] = m
     return join
-
-
-def _canonicalize(n, names, neg, join, fusion, perms):
-    best = None
-    best_tables = None
-    for perm in perms:
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        jo = bytes(perm[join[inv[x]][inv[y]]]
-                   for x in range(n) for y in range(n))
-        fu = bytes(perm[fusion[inv[x]][inv[y]]]
-                   for x in range(n) for y in range(n))
-        key = jo + fu
-        if best is None or key < best:
-            best = key
-            best_tables = (jo, fu)
-    jo, fu = best_tables
-    join_c = [[jo[x * n + y] for y in range(n)] for x in range(n)]
-    fusion_c = [[fu[x * n + y] for y in range(n)] for x in range(n)]
-    return best, FiniteInRL(names, 0, list(neg), join_c, fusion_c)

@@ -13,7 +13,8 @@ from rlat.decompose import Leaf, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra
 from rlat.gluing import GluingSpec, glue
 from rlat.partition import partition
-from rlat.props import is_distributive_semilattice, is_lattice_distributive
+from rlat.props import (is_distributive_semilattice, is_lattice_distributive,
+                        is_semilinear)
 
 
 def rejected_mutants(alg):
@@ -64,6 +65,7 @@ def entry_points(a1):
         "reassemble": lambda m: reassemble(Leaf(m)),
         "is_distributive_semilattice": is_distributive_semilattice,
         "is_lattice_distributive": is_lattice_distributive,
+        "is_semilinear": is_semilinear,
     }
 
 
