@@ -85,8 +85,7 @@ def congruence_lattice(alg):
     congruence j exactly when generator j lies below generator i.
     """
     check_member(alg)
-    filters = filters_of_negative_cone(alg)
-    generators = tuple(f.generator for f in filters)
+    generators = tuple(bits(alg.neg_cone))
     congruences = tuple(_kernel(alg, a) for a in generators)
     # generator j is below generator i: lat_dn[gi] in generator indexes
     index = {g: j for j, g in enumerate(generators)}

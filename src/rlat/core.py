@@ -487,18 +487,16 @@ def find_isomorphism(a, b):
         m = list(chain.from_iterable(cands))
         return m if _preserves(a, b, m) else None
     order = sorted(range(a.n), key=lambda x: len(cands[x]))  # ties by id
-    m = [-1] * a.n
+    m, seen = [-1] * a.n, [-1] * a.n     # seen[z] = z once z is mapped
     minv = [-1] * b.n
-    placed = []                  # the mapped elements of a, in order
-    seen = [-1] * a.n            # seen[z] = z once z is mapped
 
-    def consistent(x, u):
+    def consistent(x, u, placed):
         # z in a and w in b, as z = neg x and w = neg u, or z = x op y and
-        # w = u op m[y] for each mapped y (x among them), have m[z] = w,
-        # that is minv[w] = z, or are both unmapped, minv[w] = -1 = seen[z];
-        # the rows of x and u are read in C up to the first mismatch. On
-        # commutative tables a row is also the column; on others the final
-        # check of the map still decides.
+        # w = u op m[y] for each y in placed, the mapped elements (x among
+        # them), have m[z] = w, that is minv[w] = z, or are both unmapped,
+        # minv[w] = -1 = seen[z]; the rows of x and u are read in C up to
+        # the first mismatch. On commutative tables a row is also the
+        # column; on others the final check of the map still decides.
         if minv[b.neg[u]] != seen[a.neg[x]]:
             return False
         vs = list(map(m.__getitem__, placed))
@@ -509,44 +507,39 @@ def find_isomorphism(a, b):
                 return False
         return True
 
-    def extend(i):
-        if i == a.n:
-            return _preserves(a, b, m)
-        x = order[i]
-        for u in cands[x]:
-            if minv[u] != -1:
-                continue
-            m[x], minv[u], seen[x] = u, x, x
-            placed.append(x)
-            if consistent(x, u) and extend(i + 1):
-                return True
-            placed.pop()
-            m[x] = minv[u] = seen[x] = -1
-        return False
-
-    found = extend(0)
-    # extend refers to itself, so drop it: a and b, with their tables, are
-    # then freed on return, not at the next cyclic collection
-    extend = None
-    return list(m) if found else None
+    # one candidate iterator per depth; order[:depth] are mapped or being
+    # mapped, in order
+    tries = [iter(cands[order[0]])]
+    while tries:
+        depth = len(tries)
+        x = order[depth - 1]
+        if m[x] != -1:                   # x is mapped: unmap it first
+            minv[m[x]] = -1
+            m[x] = seen[x] = -1
+        for u in tries[-1]:
+            if minv[u] == -1:
+                break
+        else:                            # no candidate left: back up
+            tries.pop()
+            continue
+        m[x], minv[u], seen[x] = u, x, x
+        if not consistent(x, u, order[:depth]):
+            continue
+        if depth < a.n:
+            tries.append(iter(cands[order[depth]]))
+        elif _preserves(a, b, m):
+            return m
+    return None
 
 
 def subalgebra_generated(alg, seeds):
     """Least subset containing seeds and 1, closed under join, fusion, neg."""
-    closed = set(seeds)
-    closed.add(alg.one)
-    frontier = list(closed)
+    closed = frontier = set(seeds) | {alg.one}
     while frontier:
-        fresh = set()
-        for x in frontier:
-            y = alg.neg[x]
-            if y not in closed:
-                fresh.add(y)
-        for x in list(closed):
-            for y in frontier:
-                for z in (alg.join[x][y], alg.fusion[x][y]):
-                    if z not in closed and z not in fresh:
-                        fresh.add(z)
-        closed |= fresh
-        frontier = list(fresh)
+        # what neg, join and fusion give from the last round's elements
+        fresh = {alg.neg[x] for x in frontier}
+        fresh.update(t[x][y] for t in (alg.join, alg.fusion)
+                     for x in closed for y in frontier)
+        frontier = fresh - closed
+        closed |= frontier
     return closed

@@ -7,6 +7,7 @@ dually isomorphic to the positive cone.
 """
 
 from collections import namedtuple
+from operator import getitem
 
 from .core import Report, bits, check_member
 
@@ -46,119 +47,97 @@ def partition(alg):
     """Group the carrier into its Boolean blocks.
 
     Raises ValueError if alg is not a member; on a member the blocks
-    partition the carrier by the block theorem.
+    partition the carrier by the block theorem, so each block is built
+    once, from its bottom x.neg x, and every element goes to the block of
+    its own bottom.
     """
     check_member(alg)
-    by_bottom = {}
-    block_of = [None] * alg.n
-    for x in range(alg.n):
-        b = block(alg, x)
-        by_bottom.setdefault(b.bottom, b)
-    blocks = [by_bottom[k] for k in sorted(by_bottom)]
-    for i, b in enumerate(blocks):
+    bottoms = list(map(getitem, alg.fusion, alg.neg))
+    skeleton = tuple(sorted(set(bottoms)))
+    index = {b: i for i, b in enumerate(skeleton)}
+    return Partition([block(alg, b) for b in skeleton],
+                     list(map(index.__getitem__, bottoms)), skeleton)
+
+
+def _distributivity_failures(alg, xs, ys):
+    """Each (x, y, z) over xs, ys, ys with x ^ (y v z) != (x^y) v (x^z),
+    in scan order."""
+    mt, jn = alg.meet, alg.join
+    return ((x, y, z) for x in xs for y in ys for z in ys
+            if mt[x][jn[y][z]] != jn[mt[x][y]][mt[x][z]])
+
+
+def _boolean_block_failure(alg, b):
+    """The first witness that block b is not a Boolean algebra, or None."""
+    jn, fu, mt, ng = alg.join, alg.fusion, alg.meet, alg.neg
+    if ng[b.bottom] != b.top or not (alg.leq(b.bottom, alg.zero)
+                                     and alg.leq(alg.one, b.top)):
+        return (b.bottom,)
+    els = set(b.elements)
+    for x in b.elements:
+        if ng[x] not in els:
+            return (x,)
         for y in b.elements:
-            block_of[y] = i
-    return Partition(blocks, block_of, tuple(sorted(by_bottom)))
+            # closed under join and fusion; inside a block the two orders
+            # agree and fusion is the meet
+            if (jn[x][y] not in els or fu[x][y] not in els
+                    or alg.mleq(x, y) != alg.leq(x, y)
+                    or fu[x][y] != mt[x][y]):
+                return (x, y)
+    for x in b.elements:
+        # x and neg x are complements, then distributivity at x
+        if fu[x][ng[x]] != b.bottom or jn[x][ng[x]] != b.top:
+            return (x,)
+        w = next(_distributivity_failures(alg, (x,), b.elements), None)
+        if w:
+            return w
+    return None
 
 
 def verify_partition(alg, p):
     """Check the block and skeleton laws on a computed partition."""
     rep = Report()
-    n = alg.n
+    rng = range(alg.n)
     jn, fu, mt, ng = alg.join, alg.fusion, alg.meet, alg.neg
 
     covered = sorted(x for b in p.blocks for x in b.elements)
-    rep.add("blocks partition the carrier", covered == list(range(n)))
+    rep.add("blocks partition the carrier", covered == list(rng))
 
-    w = None
-    for b in p.blocks:
-        els = set(b.elements)
-        if ng[b.bottom] != b.top:
-            w = (b.bottom,)
-            break
-        if not (alg.leq(b.bottom, alg.zero) and alg.leq(alg.one, b.top)):
-            w = (b.bottom,)
-            break
-        for x in b.elements:
-            if ng[x] not in els:
-                w = (x,)
-                break
-            for y in b.elements:
-                if jn[x][y] not in els or fu[x][y] not in els:
-                    w = (x, y)
-                    break
-                # inside a block the two orders agree and fusion is the meet
-                if alg.mleq(x, y) != alg.leq(x, y) or fu[x][y] != mt[x][y]:
-                    w = (x, y)
-                    break
-            if w:
-                break
-        if w:
-            break
-        for x in b.elements:
-            if fu[x][ng[x]] != b.bottom or jn[x][ng[x]] != b.top:
-                w = (x,)
-                break
-            for y in b.elements:
-                for z in b.elements:
-                    if mt[x][jn[y][z]] != jn[mt[x][y]][mt[x][z]]:
-                        w = (x, y, z)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        if w:
-            break
+    w = next(filter(None, (_boolean_block_failure(alg, b)
+                           for b in p.blocks)), None)
     rep.add("blocks are Boolean algebras", w is None, w)
 
-    w = None
-    for b in p.blocks:
-        for y in b.elements:
-            if alg.imp[y][b.bottom] != ng[y]:
-                w = (y,)
-                break
-        if w:
-            break
+    w = next(((y,) for b in p.blocks for y in b.elements
+              if alg.imp[y][b.bottom] != ng[y]), None)
     rep.add("negation is residuation into the block bottom", w is None, w)
 
-    bottom_of = [p.blocks[p.block_of[x]].bottom for x in range(n)]
-    w = next(((y,) for x in range(n) for y in bits(
+    bottom_of = [p.blocks[p.block_of[x]].bottom for x in rng]
+    w = next(((y,) for x in rng for y in bits(
         alg.mon_up[bottom_of[x]] & alg.mon_dn[p.blocks[p.block_of[x]].top])
         if bottom_of[y] != bottom_of[x]), None)
     rep.add("block bottom is constant on the block", w is None, w)
 
-    w = next(((x, y) for x in range(n) for y in range(n)
+    w = next(((x, y) for x in rng for y in rng
               if alg.mleq(x, y) and not alg.mleq(bottom_of[x], bottom_of[y])),
              None)
     rep.add("bottom map is monotone in the monoidal order", w is None, w)
 
-    top_of = [p.blocks[p.block_of[x]].top for x in range(n)]
-    w = next(((x, y) for x in range(n) for y in range(n)
+    top_of = [p.blocks[p.block_of[x]].top for x in rng]
+    w = next(((x, y) for x in rng for y in rng
               if fu[bottom_of[x]][bottom_of[y]] != bottom_of[fu[x][y]]
               or fu[top_of[x]][top_of[y]] != top_of[fu[x][y]]), None)
     rep.add("bounds are multiplicative", w is None, w)
 
     skel = set(p.skeleton)
-    skel_is_downset = skel == set(bits(alg.lat_dn[alg.zero]))
-    rep.add("skeleton is the down-set of zero", skel_is_downset)
+    rep.add("skeleton is the down-set of zero",
+            skel == set(bits(alg.lat_dn[alg.zero])))
 
-    w = None
-    if alg.zero not in skel:
-        w = (alg.zero,)
-    else:
-        for x in p.skeleton:
-            for y in p.skeleton:
-                if jn[x][y] not in skel or mt[x][y] not in skel:
-                    w = (x, y)
-                    break
-            if w:
-                break
+    w = (alg.zero,) if alg.zero not in skel else next(
+        ((x, y) for x in p.skeleton for y in p.skeleton
+         if jn[x][y] not in skel or mt[x][y] not in skel), None)
     rep.add("skeleton is a sublattice with maximum zero", w is None, w)
 
-    w = next(((x, y, z)
-              for x in p.skeleton for y in p.skeleton for z in p.skeleton
-              if mt[x][jn[y][z]] != jn[mt[x][y]][mt[x][z]]), None)
+    w = next(_distributivity_failures(alg, p.skeleton, p.skeleton), None)
     rep.add("skeleton is distributive", w is None, w)
 
     pos = list(bits(alg.pos_cone))
@@ -169,7 +148,7 @@ def verify_partition(alg, p):
     rep.add("block count equals positive cone size",
             len(p.blocks) == len(pos))
 
-    w = next(((x, y) for x in range(n) for y in range(n)
+    w = next(((x, y) for x in rng for y in rng
               if p.block_of[fu[x][y]] != p.block_of[fu[bottom_of[x]][y]]
               or p.block_of[ng[x]] != p.block_of[x]), None)
     rep.add("same-block relation respects fusion and negation", w is None, w)
@@ -179,11 +158,6 @@ def verify_partition(alg, p):
 def join_incompatibility_witness(alg, p):
     """Least (x, y, z) with x, y in one block but z v x and z v y in
     different blocks, or None when the same-block relation respects join."""
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if p.block_of[x] != p.block_of[y]:
-                continue
-            for z in range(alg.n):
-                if p.block_of[alg.join[z][x]] != p.block_of[alg.join[z][y]]:
-                    return (x, y, z)
-    return None
+    bo, jn, rng = p.block_of, alg.join, range(alg.n)
+    return next(((x, y, z) for x in rng for y in rng if bo[x] == bo[y]
+                 for z in rng if bo[jn[z][x]] != bo[jn[z][y]]), None)

@@ -100,6 +100,14 @@ class TestGlue:
         assert alg.n == 24
         assert alg == load_algebra(str(fixdir / "sample.gspec"))
 
+    def test_stdin_spec_resolves_against_cwd(self, capsys, monkeypatch,
+                                             fixdir):
+        _, expected, _ = invoke(capsys, "glue", str(fixdir / "sample.gspec"))
+        monkeypatch.chdir(fixdir)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            (fixdir / "sample.gspec").read_text(encoding="utf-8")))
+        assert invoke(capsys, "glue", "-") == (0, expected, "")
+
     def test_invalid_spec_exits_one(self, capsys, tmp_path):
         (tmp_path / "lo.rlat").write_text(emit(boolean_algebra(1)),
                                           encoding="utf-8")

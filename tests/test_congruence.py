@@ -3,10 +3,10 @@ import pytest
 from oracles import (classes_of, naive_congruences, relation_of,
                      scan_congruence)
 from rlat import find_isomorphism, validate
-from rlat.congruence import (NegConeFilter, congruence_from_filter,
-                             congruence_lattice, filters_of_negative_cone,
-                             quotient)
-from rlat.core import bits
+from rlat.congruence import (Congruence, NegConeFilter,
+                             congruence_from_filter, congruence_lattice,
+                             filters_of_negative_cone, quotient)
+from rlat.core import bits, mask_of
 from rlat.generate import boolean_algebra, build_an
 
 
@@ -166,6 +166,25 @@ class TestQuotient:
         q = quotient(a1, total[0])
         assert q.n == 1
         assert validate(q).ok
+
+    @pytest.mark.parametrize("classes, message", [
+        ([["bot", "a", "-b", "b", "-a", "c", "-c", "0"], ["1"]],
+         "classes do not cover the carrier"),
+        ([["bot", "a", "-b", "b", "-a", "c", "-c", "0"], ["1"], ["top"]],
+         "negation is ill-defined on classes"),
+        ([["bot", "a", "-b", "b", "-a", "c", "-c", "top"], ["0"], ["1"]],
+         "join is ill-defined on classes"),
+        ([["bot", "-b", "-a", "0"], ["a", "b", "c", "-c", "top"], ["1"]],
+         "fusion is ill-defined on classes"),
+    ])
+    def test_rejects_classes_that_are_not_a_congruence(self, a1, classes,
+                                                       message):
+        classes = tuple(tuple(map(a1.element, cls)) for cls in classes)
+        rows = {x: mask_of(cls) for cls in classes for x in cls}
+        theta = Congruence(tuple(rows.get(x, 0) for x in range(a1.n)),
+                           classes, classes[1])
+        with pytest.raises(ValueError, match=message):
+            quotient(a1, theta)
 
     def test_class_of_is_the_class_holding_x(self, a1, corpus6):
         for alg in [a1] + list(corpus6.algebras):

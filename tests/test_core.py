@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteInRL(["a", "a"], 0, [0, 1], [[0, 1], [1, 1]],
                        [[0, 0], [0, 1]])
+        for bad in ("", " ", 0):
+            with pytest.raises(ValueError, match="nonempty tokens"):
+                FiniteInRL(["a", bad], 0, [0, 1], [[0, 1], [1, 1]],
+                           [[0, 0], [0, 1]])
 
     def test_rejects_unit_out_of_range(self):
         with pytest.raises(ValueError):
@@ -459,9 +464,27 @@ class TestIsomorphism:
             assert not masks & set(vars(a))
             assert not masks & set(vars(b))
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # boolean_algebra(8)'s 256 elements fall in 9 invariant classes, so
+        # the search places all 256, one depth each
+        alg = boolean_algebra(8)
+        perm = list(range(alg.n))
+        random.Random(8).shuffle(perm)
+        copy = relabelled(alg, perm)
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            m = find_isomorphism(alg, copy)
+        finally:
+            sys.setrecursionlimit(old)
+        assert_isomorphism(alg, copy, m)
+
     def test_leaves_no_cyclic_garbage(self):
-        # the search's recursive closure must not keep a and b alive until
-        # the cycle collector runs
+        # the search's closure must not keep a and b alive until the cycle
+        # collector runs
         gc.collect()
         gc.disable()
         try:

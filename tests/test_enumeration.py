@@ -37,7 +37,7 @@ class TestCorpus:
             == [emit(g) for g in second.algebras]
 
     def test_leaves_no_cyclic_garbage(self):
-        # the search's recursive closure must not keep its tables and
+        # the search's closure must not keep its tables and
         # candidates alive until the cycle collector runs
         gc.collect()
         gc.disable()

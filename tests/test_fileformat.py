@@ -75,6 +75,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(TINY + "join 0 1\n")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("one 1", "one 1 0", "line 2: section 'one' needs exactly one token"),
+        ("neg 1 0", "neg 1", "line 3: section 'neg' needs 2 tokens, got 1"),
+    ])
+    def test_wrong_token_count(self, old, new, message):
+        with pytest.raises(ParseError) as exc:
+            parse(TINY.replace(old, new))
+        assert str(exc.value) == message
+
 
 class TestGluingSpecFile:
     def test_round_trip_fixture_bytes(self, fixdir):
@@ -92,6 +101,18 @@ class TestGluingSpecFile:
         text = (fixdir / "sample.gspec").read_text(encoding="utf-8")
         with pytest.raises(ParseError):
             parse_gluing(text.replace("a a\n", ""))
+
+    @pytest.mark.parametrize("text, message", [
+        ("lower x\nupper y\na a\nb b\nlower z\nphi a -> b\n",
+         "line 5: duplicate section 'lower'"),
+        ("lower x\nupper y\na a c\nb b\nphi a -> b\n",
+         "line 3: section 'a' needs exactly one token"),
+        ("lower x\nupper y\na a\nb b\n", "line 1: missing section 'phi'"),
+    ])
+    def test_malformed_sections(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_gluing(text)
+        assert str(exc.value) == message
 
     def test_malformed_pair(self):
         with pytest.raises(ParseError):

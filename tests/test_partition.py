@@ -1,5 +1,12 @@
+import hashlib
+import random
+
+import pytest
+
+from rlat import FiniteInRL
 from rlat.generate import boolean_algebra, build_an
-from rlat.partition import (block, join_incompatibility_witness, partition,
+from rlat.partition import (BooleanBlock, Partition, block,
+                            join_incompatibility_witness, partition,
                             verify_partition)
 
 
@@ -68,6 +75,16 @@ class TestBlockStructure:
         for alg in corpus6.algebras:
             assert verify_partition(alg, partition(alg)).ok
 
+    def test_block_cross_check(self, a1):
+        # a.-a changed from bot to a: fusion no longer gives the meet
+        a, na = a1.element("a"), a1.element("-a")
+        fusion = [row[:] for row in a1.fusion]
+        fusion[a][na] = fusion[na][a] = a
+        bad = FiniteInRL(a1.names, a1.one, a1.neg, a1.join, fusion)
+        with pytest.raises(ValueError, match="cross-check failed at a: "
+                                             "meet and fusion disagree"):
+            block(bad, a)
+
 
 class TestBlockArithmetic:
     def test_bounds_are_multiplicative(self, a1, corpus6):
@@ -113,3 +130,177 @@ class TestJoinIncompatibility:
     def test_no_witness_on_boolean_algebra(self):
         alg = boolean_algebra(2)
         assert join_incompatibility_witness(alg, partition(alg)) is None
+
+
+def block_with(p, i, **fields):
+    """p with block i's fields replaced (elements given as any sequence)."""
+    blocks = list(p.blocks)
+    blocks[i] = blocks[i]._replace(**fields)
+    return p._replace(blocks=blocks)
+
+
+def corrupted(p, rng):
+    """Seeded edits of a partition: swapped, dropped or added elements, a
+    wrong bottom or top, shuffled elements, a wrong block_of and skeleton
+    edits. Some leave it as it was (a shuffled one-element block)."""
+    n, k = len(p.block_of), len(p.blocks)
+    out = []
+    for _ in range(4):
+        i, x = rng.randrange(k), rng.randrange(n)
+        els = list(p.blocks[i].elements)
+        out.append(block_with(p, i, bottom=x))
+        out.append(block_with(p, i, top=x))
+        out.append(block_with(p, i, elements=tuple(sorted(set(els) | {x}))))
+        out.append(block_with(p, i, elements=tuple(e for e in els
+                                                   if e != els[-1])))
+        rng.shuffle(els)
+        out.append(block_with(p, i, elements=tuple(els)))
+        block_of = list(p.block_of)
+        block_of[x] = rng.randrange(k)
+        out.append(p._replace(block_of=block_of))
+        skel = list(p.skeleton)
+        out.append(p._replace(skeleton=tuple(sorted(set(skel) | {x}))))
+        out.append(p._replace(skeleton=tuple(skel[1:])))
+        rng.shuffle(skel)
+        out.append(p._replace(skeleton=tuple(skel)))
+        if k > 1:
+            # swap an element of block i with one of another block j
+            j = rng.choice([j for j in range(k) if j != i])
+            u = rng.choice(p.blocks[i].elements)
+            v = rng.choice(p.blocks[j].elements)
+            q = block_with(p, i, elements=tuple(sorted(
+                set(p.blocks[i].elements) - {u} | {v})))
+            q = block_with(q, j, elements=tuple(sorted(
+                set(p.blocks[j].elements) - {v} | {u})))
+            block_of = list(p.block_of)
+            block_of[u], block_of[v] = j, i
+            out.append(q._replace(block_of=block_of))
+    return out
+
+
+def mutants(alg, rng, count):
+    """Seeded single-cell changes of neg, join or fusion (join and fusion
+    symmetrically), most of them non-members."""
+    n = alg.n
+    out = []
+    for _ in range(count if n > 1 else 0):
+        x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        neg = list(alg.neg)
+        tables = {"join": [row[:] for row in alg.join],
+                  "fusion": [row[:] for row in alg.fusion]}
+        label = rng.choice(("neg", "join", "fusion"))
+        if label == "neg":
+            neg[x] = v
+        else:
+            tables[label][x][y] = tables[label][y][x] = v
+        out.append(FiniteInRL(alg.names, alg.one, neg, tables["join"],
+                              tables["fusion"]))
+    return out
+
+
+def m3_with_involution():
+    """The lattice M3 (0 < a, b, c < 1) with neg swapping a and b and fixing
+    c, and fusion the meet; not a member. Taken as one block with bottom 0
+    and top 1, it is closed and its two orders agree, a and b are
+    complements but c is not, and a ^ (b v c) = a while (a ^ b) v (a ^ c)
+    = 0."""
+    join = [[0, 1, 2, 3, 4], [1, 1, 4, 4, 4], [2, 4, 2, 4, 4],
+            [3, 4, 4, 3, 4], [4, 4, 4, 4, 4]]
+    meet = [[0, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 2, 0, 2],
+            [0, 0, 0, 3, 3], [0, 1, 2, 3, 4]]
+    alg = FiniteInRL(["0", "a", "b", "c", "1"], 4, [4, 2, 1, 3, 0], join,
+                     meet)
+    return alg, Partition([BooleanBlock(0, 4, tuple(range(5)))], [0] * 5,
+                          (0,))
+
+
+class TestPinnedOutputs:
+    """verify_partition and join_incompatibility_witness on partitions
+    partition() does not build, and on non-members."""
+
+    def test_output_unchanged(self, a1, corpus6):
+        # pins every Partition, verify_partition report and
+        # join_incompatibility_witness result on the set below
+        rng = random.Random(12)
+        algebras = ([a1] + list(corpus6.algebras)
+                    + [build_an(k) for k in range(4)]
+                    + [boolean_algebra(k) for k in range(5)])
+        bases = [(alg, partition(alg)) for alg in algebras]
+        bases.append(m3_with_involution())
+        digest = hashlib.sha256()
+        records = failing = 0
+        for alg, p in bases:
+            digest.update(repr(p).encode())
+            cases = [(alg, q) for q in [p] + corrupted(p, rng)]
+            cases += [(m, p) for m in mutants(alg, rng, 48)]
+            for m, q in cases:
+                rep = verify_partition(m, q)
+                w = join_incompatibility_witness(m, q)
+                digest.update(repr((rep.checks, w)).encode())
+                records += 1
+                failing += not rep.ok
+        assert (len(bases), records, failing) == (22, 1826, 1190)
+        assert digest.hexdigest() == \
+            "6c99bb7c8c9ee125516d7bf365b07424fac9953a8542bea1342a2d06ca08b0d1"
+
+
+def failing_clauses(alg, p):
+    return {name: None if w is None else tuple(alg.names[x] for x in w)
+            for name, w in verify_partition(alg, p).failures()}
+
+
+class TestEachClause:
+    """One hand-made corruption of a1's partition per clause, with the
+    clause's exact witness. a1's blocks are 0: bot a -a top (bottom bot,
+    top top), 1: -b b c -c (bottom -c, top c) and 2: 0 1, and its
+    skeleton is bot -c 0."""
+
+    def test_hand_made_corruptions(self, a1):
+        p = partition(a1)
+        e = a1.element
+
+        def moved(name, i):
+            block_of = list(p.block_of)
+            block_of[e(name)] = i
+            return p._replace(block_of=block_of)
+
+        def skeleton(*names):
+            return p._replace(skeleton=tuple(map(e, names)))
+
+        # blocks 1 and 2 as one
+        merged = Partition(
+            [p.blocks[0], p.blocks[1]._replace(elements=tuple(sorted(
+                p.blocks[1].elements + p.blocks[2].elements)))],
+            [min(i, 1) for i in p.block_of], p.skeleton)
+        cases = {
+            "blocks partition the carrier":
+                (block_with(p, 2, elements=(e("0"),)), None),
+            "blocks are Boolean algebras":
+                (block_with(p, 1, top=e("top")), ("-c",)),
+            "negation is residuation into the block bottom":
+                (block_with(p, 1, bottom=e("bot")), ("-b",)),
+            "block bottom is constant on the block": (moved("a", 1), ("a",)),
+            "bottom map is monotone in the monoidal order":
+                (moved("1", 0), ("-b", "1")),
+            "bounds are multiplicative": (moved("a", 1), ("a", "-b")),
+            "skeleton is the down-set of zero": (skeleton("bot", "0"), None),
+            "skeleton is a sublattice with maximum zero":
+                (skeleton("bot", "-c", "b", "0"), ("b", "0")),
+            "skeleton is distributive": (skeleton("a", "-b", "0"), ("a", "-b", "0")),
+            "skeleton is dual to the positive cone":
+                (skeleton("bot", "a", "0"), None),
+            "block count equals positive cone size": (merged, None),
+            "same-block relation respects fusion and negation":
+                (moved("-a", 2), ("a", "bot")),
+        }
+        assert len(cases) == len(verify_partition(a1, p).checks)
+        for clause, (q, witness) in cases.items():
+            assert failing_clauses(a1, q).get(clause, "pass") == witness, \
+                clause
+
+    def test_block_distributivity_comes_before_later_bounds(self):
+        # c is not complemented, but the first element failing the block
+        # laws is a, which distributes over no pair containing c
+        alg, p = m3_with_involution()
+        assert failing_clauses(alg, p) == {
+            "blocks are Boolean algebras": ("a", "b", "c")}
