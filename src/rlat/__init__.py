@@ -5,32 +5,29 @@ inverse decomposition, stock generator families, property decision
 procedures, exhaustive enumeration up to isomorphism, and text file formats.
 """
 
-from .core import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
-                   find_isomorphism, subalgebra_generated, validate)
-# eager: a first import of the decompose or partition module rebinds its name
-from .decompose import (DecompositionTree, Leaf, Node, SplitResult,
-                        decompose, find_atoms, reassemble, split)
-from .fileformat import (GluingSpecFile, ParseError, build_spec, dot_export,
-                         emit, emit_gluing, load_algebra, parse,
-                         parse_gluing, write_tree)
-from .gluing import GluedAlgebra, GluingSpec, glue, validate_gluing
-from .partition import (BooleanBlock, Partition, block,
-                        join_incompatibility_witness, partition,
-                        verify_partition)
+import sys
 
 _LAZY = {name: module for module, names in (
     ("congruence", "Congruence ConLattice NegConeFilter quotient "
                    "congruence_from_filter congruence_lattice "
                    "filters_of_negative_cone"),
+    ("core", "AXIOM_NAMES FiniteInRL Report find_isomorphism validate"),
+    ("decompose", "SplitResult decompose find_atoms reassemble split"),
+    ("fileformat", "GluingSpecFile ParseError dot_export emit emit_gluing "
+                   "load_algebra parse parse_gluing write_tree"),
     ("generate", "boolean_algebra build_an"),
+    ("gluing", "DecompositionTree GluedAlgebra GluingSpec Leaf Node "
+               "build_spec glue validate_gluing"),
+    ("partition", "BooleanBlock Partition block join_incompatibility_witness "
+                  "partition verify_partition"),
     ("props", "PropertyVerdict distributive_semilattice_table "
-              "is_distributive_semilattice is_lattice_distributive "
-              "is_semilinear"),
+              "elementary_properties is_distributive_semilattice "
+              "is_lattice_distributive is_semilinear subalgebra_generated"),
     ("search", "Corpus enumerate_up_to_iso")) for name in names.split()}
 
 
 def __getattr__(name):
-    """Load congruence, generate, props or search on first use (PEP 562)."""
+    """Load the module that defines name on its first use (PEP 562)."""
     if name not in _LAZY:
         raise AttributeError("module %r has no attribute %r"
                              % (__name__, name))
@@ -39,6 +36,18 @@ def __getattr__(name):
     globals()[name] = value = getattr(module, name)
     return value
 
+
+class _Package(type(sys)):
+    def __setattr__(self, name, value):
+        # the import system binds each submodule it loads on its package;
+        # rlat.decompose and rlat.partition stay the functions of the same
+        # name, and the modules stay in sys.modules
+        if name in ("decompose", "partition") and isinstance(value, type(sys)):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "AXIOM_NAMES", "BooleanBlock", "ConLattice", "Congruence", "Corpus",

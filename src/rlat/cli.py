@@ -10,14 +10,11 @@ import os
 import sys
 
 from .core import Rejected, check_member, validate
-from .decompose import decompose
-from .fileformat import (TREE_ROOT, ParseError, build_spec, dot_export,
-                         emit, load_algebra, parse, parse_gluing, write_tree)
-from .gluing import Leaf, glue
-from .partition import partition
+from .fileformat import (TREE_ROOT, ParseError, dot_export, emit,
+                         load_algebra, parse, parse_gluing, write_tree)
 
-# property name -> the function of rlat.props that decides it; congruence,
-# generate, props and search load only in the commands that use them
+# property name -> the function of rlat.props that decides it; the modules
+# past core and fileformat load only in the commands that use them
 _PROPS = {
     "distr-semilattice": "is_distributive_semilattice",
     "distr-lattice": "is_lattice_distributive",
@@ -43,6 +40,7 @@ def _cmd_check(args):
 
 
 def _cmd_partition(args):
+    from .partition import partition
     alg = _read_algebra(args.file)
     p = partition(alg)
     for b in p.blocks:
@@ -65,6 +63,7 @@ def _cmd_congruences(args):
 
 
 def _cmd_glue(args):
+    from .gluing import build_spec, glue
     if args.specfile == "-":
         sf = parse_gluing(sys.stdin.read())
         base = os.getcwd()
@@ -89,6 +88,8 @@ def _cmd_glue(args):
 
 
 def _cmd_decompose(args):
+    from .decompose import decompose
+    from .gluing import Leaf
     alg = _read_algebra(args.file)
     tree = decompose(alg)
     for part, name in tree._named(TREE_ROOT):

@@ -389,50 +389,6 @@ def _is_semilattice(table, up):
                for x, (ux, row) in enumerate(zip(up, table)))
 
 
-def elementary_properties(alg):
-    """The seven elementary consequences, checked exhaustively."""
-    n = alg.n
-    rep = Report()
-    mt, jn, fu, ng = alg.meet, alg.join, alg.fusion, alg.neg
-
-    up, dn = alg.lat_up, alg.lat_dn
-    w = next(((x, y) for x in range(n) for y in bits(up[x])
-              if not (up[ng[y]] >> ng[x]) & 1), None)
-    rep.add("negation antitone", w is None, w)
-
-    def infimum(x, y):
-        # meet(x, y) is a common lower bound above every common lower bound
-        common, m = dn[x] & dn[y], mt[x][y]
-        return (common >> m) & 1 and not common & ~dn[m]
-
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if not infimum(x, y)), None)
-    rep.add("meet is the lattice infimum", w is None, w)
-
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if ng[jn[x][y]] != mt[ng[x]][ng[y]]
-              or ng[mt[x][y]] != jn[ng[x]][ng[y]]), None)
-    rep.add("De Morgan", w is None, w)
-
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if not (alg.leq(mt[x][y], fu[x][y]) and alg.leq(fu[x][y], jn[x][y]))),
-             None)
-    rep.add("fusion between meet and join", w is None, w)
-
-    pos = list(bits(alg.pos_cone))
-    w = next(((x, y) for x in pos for y in pos if fu[x][y] != jn[x][y]), None)
-    rep.add("fusion is join on the positive cone", w is None, w)
-
-    neg_els = list(bits(alg.neg_cone))
-    w = next(((x, y) for x in neg_els for y in neg_els if fu[x][y] != mt[x][y]), None)
-    rep.add("fusion is meet on the negative cone", w is None, w)
-
-    consts_ok = (alg.zero == ng[alg.one] and ng[alg.zero] == alg.one
-                 and alg.leq(alg.zero, alg.one))
-    rep.add("constants 0 = neg 1 <= 1 = neg 0", consts_ok, (alg.one,))
-    return rep
-
-
 def _fingerprints(alg):
     """Per-element isomorphism invariants, each counted along one table row
     in C: the sizes of the lattice up- and down-sets and of the monoidal up-
@@ -530,16 +486,3 @@ def find_isomorphism(a, b):
         elif _preserves(a, b, m):
             return m
     return None
-
-
-def subalgebra_generated(alg, seeds):
-    """Least subset containing seeds and 1, closed under join, fusion, neg."""
-    closed = frontier = set(seeds) | {alg.one}
-    while frontier:
-        # what neg, join and fusion give from the last round's elements
-        fresh = {alg.neg[x] for x in frontier}
-        fresh.update(t[x][y] for t in (alg.join, alg.fusion)
-                     for x in closed for y in frontier)
-        frontier = fresh - closed
-        closed |= frontier
-    return closed

@@ -13,12 +13,20 @@ import os
 from collections import namedtuple
 
 from .core import FiniteInRL
-from .gluing import Leaf, Node, _glue_tree, build_spec  # noqa: F401 (API)
 
 _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 
 # name of the root of a decomposition tree written by write_tree
 TREE_ROOT = "t"
+
+
+def __getattr__(name):
+    """build_spec, from gluing, which loads only where a file is glued."""
+    if name != "build_spec":
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from .gluing import build_spec
+    return build_spec
 
 
 class ParseError(Exception):
@@ -156,6 +164,8 @@ def load_algebra(path):
     spec must pass validate_gluing, or ValueError names the file; the glued
     result is then a member and is not checked again.
     """
+    if path.endswith(".gspec"):   # only a spec leads on to other files
+        from .gluing import Leaf, Node, _glue_tree
     labels = {}      # id of a part -> the file it was read from
     nested = set()   # real paths of the specs on the stack
     stack = []       # (path, real path, spec file, [read lower part])
@@ -195,6 +205,8 @@ def write_tree(tree, outdir):
     becomes p.gspec referencing its children p0 and p1. Returns the list of
     (filename, kind) written, root first.
     """
+    from .gluing import Leaf
+
     def fname(part, name):
         return name + (".rlat" if isinstance(part, Leaf) else ".gspec")
 

@@ -95,13 +95,24 @@ def _boolean_block_failure(alg, b):
 
 
 def verify_partition(alg, p):
-    """Check the block and skeleton laws on a computed partition."""
+    """Check the block and skeleton laws on a computed partition.
+
+    When block_of names no block of p for some element, the first clause
+    fails with the first such element as witness, and the report ends
+    there: every later law reads an element's block through block_of.
+    """
     rep = Report()
     rng = range(alg.n)
     jn, fu, mt, ng = alg.join, alg.fusion, alg.meet, alg.neg
 
+    ids = range(len(p.blocks))
+    w = next(((x,) for x in rng
+              if x >= len(p.block_of) or p.block_of[x] not in ids), None)
     covered = sorted(x for b in p.blocks for x in b.elements)
-    rep.add("blocks partition the carrier", covered == list(rng))
+    rep.add("blocks partition the carrier",
+            w is None and covered == list(rng), w)
+    if w:
+        return rep
 
     w = next(filter(None, (_boolean_block_failure(alg, b)
                            for b in p.blocks)), None)

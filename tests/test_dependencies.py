@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rlat"
 
 
@@ -38,7 +40,10 @@ def test_no_module_imports_dataclasses():
             assert module.split(".")[0] != "dataclasses", path.name
 
 
-LAZY = ("rlat.congruence", "rlat.generate", "rlat.props", "rlat.search")
+# the modules every command loads: the rest load in the commands that run
+# them
+CLI_MODULES = ["rlat", "rlat.cli", "rlat.core", "rlat.fileformat"]
+FIXTURES = SRC.parent.parent / "fixtures"
 
 
 def fresh_python(code):
@@ -48,11 +53,77 @@ def fresh_python(code):
                           capture_output=True, text=True).stdout
 
 
+def rlat_modules(code):
+    """The rlat modules loaded once code has run in a new interpreter."""
+    return fresh_python(
+        code + "\nimport sys\n"
+        "print(*sorted(k for k in sys.modules if k.split('.')[0] == 'rlat'))"
+    ).split()
+
+
 def test_cli_import_loads_only_what_every_command_needs():
     out = fresh_python("import sys, rlat.cli\n"
                        "print(' '.join(sorted(sys.modules)))").split()
     assert "dataclasses" not in out
-    assert not set(LAZY) & set(out)
+    assert [m for m in out if m.split(".")[0] == "rlat"] == CLI_MODULES
+
+
+def test_package_import_loads_no_submodule():
+    assert rlat_modules("import rlat") == ["rlat"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ("check a1.rlat", ""),
+    ("partition a1.rlat", "partition"),
+    ("congruences a1.rlat", "congruence"),
+    ("decompose a1.rlat --out tree", "decompose gluing"),
+    ("reassemble tree", "gluing"),
+    ("glue sample.gspec", "gluing"),
+    ("gen an 2", "generate gluing"),
+    ("prop distr-semilattice a1.rlat", "props"),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules,
+                                                     tmp_path):
+    from rlat import decompose, load_algebra, write_tree
+    tree = tmp_path / "tree"
+    write_tree(decompose(load_algebra(str(FIXTURES / "a1.rlat"))), str(tree))
+    paths = {"a1.rlat": FIXTURES / "a1.rlat", "tree": tree,
+             "sample.gspec": FIXTURES / "sample.gspec"}
+    argv = [str(paths.get(a, a)) for a in argv.split()]
+    assert rlat_modules(
+        "import contextlib, io, rlat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rlat.cli.run(%r) == 0" % argv) \
+        == sorted(CLI_MODULES + ["rlat." + m for m in modules.split()])
+
+
+def test_package_names_survive_commands_that_load_their_modules():
+    # a command imports the decompose and partition modules before the
+    # package names are read; the names are the functions, the modules
+    # stay in sys.modules
+    a1 = str(FIXTURES / "a1.rlat")
+    out = fresh_python(
+        "import contextlib, importlib, inspect, io, sys\n"
+        "from rlat.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    run(['decompose', %r])\n"
+        "    run(['partition', %r])\n"
+        "module = importlib.import_module('rlat.decompose')\n"
+        "from rlat import decompose, partition\n"
+        "print(inspect.isfunction(decompose), inspect.isfunction(partition))\n"
+        "print(sys.modules['rlat.decompose'] is module,\n"
+        "      inspect.ismodule(module), module.decompose is decompose,\n"
+        "      sys.modules['rlat.partition'].partition is partition)\n"
+        % (a1, a1))
+    assert out.splitlines() == ["True True", "True True True True"]
+
+
+def test_build_spec_from_fileformat():
+    out = fresh_python("from rlat.fileformat import build_spec\n"
+                       "import rlat\n"
+                       "print(build_spec is rlat.build_spec,\n"
+                       "      build_spec.__module__)\n")
+    assert out.split() == ["True", "rlat.gluing"]
 
 
 def test_package_names_survive_importing_every_submodule_first():

@@ -298,6 +298,19 @@ class TestEachClause:
             assert failing_clauses(a1, q).get(clause, "pass") == witness, \
                 clause
 
+    def test_block_of_naming_a_missing_block(self, a1):
+        # 0 and 1 are in block 2; block_of that names no block of p fails
+        # the first clause at the first such element, and ends the report
+        p = partition(a1)
+        block_of = list(p.block_of)
+        cases = [(p._replace(blocks=p.blocks[:2]), "0"),
+                 (p._replace(block_of=[-1] + block_of[1:]), "bot"),
+                 (p._replace(block_of=block_of[:-1]), "top")]
+        for q, name in cases:
+            assert verify_partition(a1, q).checks == [
+                ("blocks partition the carrier", False,
+                 (a1.element(name),))]
+
     def test_block_distributivity_comes_before_later_bounds(self):
         # c is not complemented, but the first element failing the block
         # laws is a, which distributes over no pair containing c
