@@ -7,6 +7,7 @@ dually isomorphic to the positive cone.
 """
 
 from collections import namedtuple
+from itertools import chain
 from operator import getitem
 
 from .core import Report, bits, check_member
@@ -97,9 +98,12 @@ def _boolean_block_failure(alg, b):
 def verify_partition(alg, p):
     """Check the block and skeleton laws on a computed partition.
 
-    When block_of names no block of p for some element, the first clause
-    fails with the first such element as witness, and the report ends
-    there: every later law reads an element's block through block_of.
+    When block_of names no block of p for some element, or a block holds,
+    as an element, bottom or top, an id outside the carrier, the first
+    clause fails with the first such element or id as witness, and the
+    report ends there: every later law reads the tables at these ids. In
+    the same way a skeleton id outside the carrier fails "skeleton is the
+    down-set of zero" with that id as witness and ends the report.
     """
     rep = Report()
     rng = range(alg.n)
@@ -107,7 +111,10 @@ def verify_partition(alg, p):
 
     ids = range(len(p.blocks))
     w = next(((x,) for x in rng
-              if x >= len(p.block_of) or p.block_of[x] not in ids), None)
+              if x >= len(p.block_of) or p.block_of[x] not in ids), None) \
+        or next(((x,) for b in p.blocks
+                 for x in chain((b.bottom, b.top), b.elements)
+                 if x not in rng), None)
     covered = sorted(x for b in p.blocks for x in b.elements)
     rep.add("blocks partition the carrier",
             w is None and covered == list(rng), w)
@@ -140,8 +147,11 @@ def verify_partition(alg, p):
     rep.add("bounds are multiplicative", w is None, w)
 
     skel = set(p.skeleton)
+    w = next(((x,) for x in p.skeleton if x not in rng), None)
     rep.add("skeleton is the down-set of zero",
-            skel == set(bits(alg.lat_dn[alg.zero])))
+            w is None and skel == set(bits(alg.lat_dn[alg.zero])), w)
+    if w:
+        return rep
 
     w = (alg.zero,) if alg.zero not in skel else next(
         ((x, y) for x in p.skeleton for y in p.skeleton
@@ -168,7 +178,14 @@ def verify_partition(alg, p):
 
 def join_incompatibility_witness(alg, p):
     """Least (x, y, z) with x, y in one block but z v x and z v y in
-    different blocks, or None when the same-block relation respects join."""
+    different blocks, or None when the same-block relation respects join.
+
+    An element past the end of block_of is in no block, so it shares one
+    with no element, itself included.
+    """
     bo, jn, rng = p.block_of, alg.join, range(alg.n)
+    if len(bo) < alg.n:
+        # nan equals nothing, not even itself
+        bo = list(bo) + [float("nan")] * (alg.n - len(bo))
     return next(((x, y, z) for x in rng for y in rng if bo[x] == bo[y]
                  for z in rng if bo[jn[z][x]] != bo[jn[z][y]]), None)

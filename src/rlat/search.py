@@ -7,9 +7,13 @@ even carrier negation is fixed-point free with neg(0) = 1. Relabeling puts
 the 2-cycles in consecutive positions, so exactly one shape per size exists
 and every member has a shaped labelling.
 
-Search: fusion tables are filled cell by cell with incremental associativity
-checks; each complete fusion induces one candidate lattice order (see
-_orders_for_fusion), and the full axiom checker is the final filter.
+Search: fusion tables are filled cell by cell. A new cell s . t = v can
+decide only the triples that read it, so the fill keeps a preimage index,
+pre[v] the set cells with product v, and tests just those triples: O(n)
+plus the length of pre[t] per cell, not the O(n^2) triples through s and
+t, and the same partial tables are pruned. Each complete fusion induces
+one candidate lattice order (see _orders_for_fusion), and the full axiom
+checker is the final filter.
 
 Duplicates: each member found is compared by core.find_isomorphism with the
 classes already found at its size. The fill tries every associative,
@@ -69,22 +73,29 @@ def _enumerate_size(n):
         fusion[0][x] = fusion[x][0] = x
 
     found = []                   # [key, member], one per class
+    # pre[v]: the set cells (a, b), both orders, with a . b = v, leaving
+    # out the unit's cells, whose triples always associate
+    pre = [[]] + [[(x, x)] for x in range(1, n)]
 
-    def assoc_ok(i, j):
-        # only triples meeting {i, j} can have become newly decidable
-        for t in (i, j):
-            for x in range(n):
-                for y in range(n):
-                    for tri in ((t, x, y), (x, t, y), (x, y, t)):
-                        a, b, c = tri
-                        ab = fusion[a][b]
-                        bc = fusion[b][c]
-                        if ab is None or bc is None:
-                            continue
-                        lhs = fusion[ab][c]
-                        rhs = fusion[a][bc]
-                        if lhs is not None and rhs is not None and lhs != rhs:
-                            return False
+    def consistent(s, t):
+        # The triples that read the new cell s . t = v are (s, t, x),
+        # (x, s, t), (a, b, t) with a . b = s and (s, b, c) with b . c = t.
+        # By commutativity (x, s, t) and (a, b, t) associate iff their
+        # reverses do, which are triples of the first and last kinds for
+        # the cell t . s, so the caller's second call covers them.
+        fs = fusion[s]
+        v = fs[t]
+        for tx, vx in zip(fusion[t], fusion[v]):
+            if tx is not None and vx is not None:
+                sx = fs[tx]
+                if sx is not None and sx != vx:
+                    return False
+        for b, c in pre[t]:
+            sb = fs[b]
+            if sb is not None:
+                sc = fusion[sb][c]
+                if sc is not None and sc != v:
+                    return False
         return True
 
     def fill(idx):
@@ -92,11 +103,15 @@ def _enumerate_size(n):
             _orders_for_fusion(n, names, neg, fusion, found)
             return
         i, j = cells[idx]
+        fi, fj = fusion[i], fusion[j]
         for v in range(n):
-            fusion[i][j] = fusion[j][i] = v
-            if assoc_ok(i, j):
+            fi[j] = fj[i] = v
+            at_v = pre[v]
+            at_v += (i, j), (j, i)
+            if consistent(i, j) and consistent(j, i):
                 fill(idx + 1)
-        fusion[i][j] = fusion[j][i] = None
+            del at_v[-2:]
+        fi[j] = fj[i] = None
 
     fill(0)
     # fill refers to itself, so drop it: the tables it holds are then

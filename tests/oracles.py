@@ -180,6 +180,24 @@ def _associative(table):
                for x in rng for y in rng for z in rng)
 
 
+def associative_unit_zero_tables(n):
+    """Every commutative, idempotent, associative table on range(n) with
+    unit 0, as a tuple of rows: all n^((n-1)(n-2)/2) fillings of the
+    cells i < j off the unit, kept by the triple loop."""
+    rng = range(n)
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    out = set()
+    for vals in itertools.product(rng, repeat=len(pairs)):
+        table = [[None] * n for _ in rng]
+        for x in rng:
+            table[x][x] = table[0][x] = table[x][0] = x
+        for (i, j), v in zip(pairs, vals):
+            table[i][j] = table[j][i] = v
+        if _associative(table):
+            out.add(tuple(map(tuple, table)))
+    return out
+
+
 def _involutions(n):
     return [p for p in itertools.permutations(range(n))
             if all(p[p[i]] == i for i in range(n))]

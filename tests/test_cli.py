@@ -355,6 +355,21 @@ class TestEnum:
         for p in tmp_path.iterdir():
             assert validate(load_algebra(str(p))).ok
 
+    def test_size7_matches_fixtures(self, capsys, tmp_path, fixdir):
+        # the whole corpus to the size cap, about 2 s; the size-7 files
+        # are the pinned fixtures that the size-7 tests load
+        code, out, _ = invoke(capsys, "enum", "7", "--out", str(tmp_path))
+        assert code == 0
+        assert out.splitlines() == ["size 1: 1", "size 2: 1", "size 3: 1",
+                                    "size 4: 2", "size 5: 2", "size 6: 4",
+                                    "size 7: 4"]
+        assert len(list(tmp_path.iterdir())) == 15
+        pinned = sorted((fixdir / "size7").iterdir())
+        assert [p.name for p in pinned] \
+            == sorted(p.name for p in tmp_path.glob("n7_*"))
+        for p in pinned:
+            assert (tmp_path / p.name).read_bytes() == p.read_bytes()
+
     def test_out_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["enum", "4"])

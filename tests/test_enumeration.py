@@ -3,7 +3,8 @@ import hashlib
 
 import pytest
 
-from oracles import naive_isomorphic
+import rlat.search
+from oracles import associative_unit_zero_tables, naive_isomorphic
 from rlat import enumerate_up_to_iso, find_isomorphism, validate
 from rlat.fileformat import emit
 from rlat.generate import boolean_algebra, build_an
@@ -71,6 +72,22 @@ class TestCorpus:
         ones = [g for g in corpus6.algebras if g.n == 1]
         assert len(ones) == 1
         assert ones[0].one == 0 and ones[0].neg == [0]
+
+
+class TestFill:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_reaches_exactly_the_associative_tables(self, monkeypatch, n):
+        # the fill's incremental check prunes a partial table only when
+        # a decided triple fails: it must reach every complete table that
+        # a full triple loop accepts, each once, and no other
+        reached = []
+        monkeypatch.setattr(
+            rlat.search, "_orders_for_fusion",
+            lambda n, names, neg, fusion, found:
+                reached.append(tuple(map(tuple, fusion))))
+        rlat.search._enumerate_size(n)
+        assert len(reached) == len(set(reached))
+        assert set(reached) == associative_unit_zero_tables(n)
 
 
 class TestBounds:

@@ -311,6 +311,31 @@ class TestEachClause:
                 ("blocks partition the carrier", False,
                  (a1.element(name),))]
 
+    def test_block_outside_the_carrier(self, a1):
+        # block 2 is 0 1 (ids 7 and 8); id 99 names no element
+        p = partition(a1)
+        for q in (block_with(p, 2, elements=(7, 8, 99)),
+                  block_with(p, 2, bottom=99)):
+            assert verify_partition(a1, q).checks == [
+                ("blocks partition the carrier", False, (99,))]
+
+    def test_skeleton_outside_the_carrier(self, a1):
+        # the report ends at the first clause that reads the skeleton
+        p = partition(a1)
+        checks = verify_partition(a1, p._replace(
+            skeleton=p.skeleton + (99,))).checks
+        assert checks[-1] == ("skeleton is the down-set of zero", False,
+                              (99,))
+        assert all(ok for _, ok, _ in checks[:-1])
+
+    def test_join_witness_with_block_of_short_of_the_carrier(self, a1):
+        # top, the last element, is in no block, so not even top shares
+        # a block with top: bot v top = top fails at (bot, bot, top)
+        p = partition(a1)
+        w = join_incompatibility_witness(a1, p._replace(
+            block_of=p.block_of[:-1]))
+        assert tuple(map(a1.names.__getitem__, w)) == ("bot", "bot", "top")
+
     def test_block_distributivity_comes_before_later_bounds(self):
         # c is not complemented, but the first element failing the block
         # laws is a, which distributes over no pair containing c
