@@ -20,9 +20,9 @@ _LAZY = {name: module for module, names in (
                "build_spec glue validate_gluing"),
     ("partition", "BooleanBlock Partition block join_incompatibility_witness "
                   "partition verify_partition"),
-    ("props", "PropertyVerdict distributive_semilattice_table "
-              "elementary_properties is_distributive_semilattice "
-              "is_lattice_distributive is_semilinear subalgebra_generated"),
+    ("props", "PropertyVerdict elementary_properties "
+              "is_distributive_semilattice is_lattice_distributive "
+              "is_semilinear subalgebra_generated"),
     ("search", "Corpus enumerate_up_to_iso")) for name in names.split()}
 
 
@@ -55,10 +55,9 @@ __all__ = [
     "GluingSpecFile", "Leaf", "NegConeFilter", "Node", "ParseError",
     "Partition", "PropertyVerdict", "Report", "SplitResult", "block",
     "boolean_algebra", "build_an", "build_spec", "congruence_from_filter",
-    "congruence_lattice", "decompose", "distributive_semilattice_table",
-    "dot_export", "elementary_properties", "emit", "emit_gluing",
-    "enumerate_up_to_iso", "filters_of_negative_cone", "find_atoms",
-    "find_isomorphism", "glue", "is_distributive_semilattice",
+    "congruence_lattice", "decompose", "dot_export", "elementary_properties",
+    "emit", "emit_gluing", "enumerate_up_to_iso", "filters_of_negative_cone",
+    "find_atoms", "find_isomorphism", "glue", "is_distributive_semilattice",
     "is_lattice_distributive", "is_semilinear",
     "join_incompatibility_witness", "load_algebra", "parse", "parse_gluing",
     "partition", "quotient", "reassemble", "split", "subalgebra_generated",

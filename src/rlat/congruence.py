@@ -7,8 +7,9 @@ therefore order-anti-isomorphic to the negative cone.
 """
 
 from collections import namedtuple
+from itertools import chain
 
-from .core import FiniteInRL, bits, check_member, mask_of
+from .core import FiniteInRL, _first_ne, bits, check_member, mask_of
 
 
 class NegConeFilter(namedtuple("NegConeFilter", "elements generator")):
@@ -23,7 +24,7 @@ class Congruence(namedtuple("Congruence", "relation classes one_class")):
     __slots__ = ()
 
     def related(self, x, y):
-        return (self.relation[x] >> y) & 1 == 1
+        return self.class_of(x) == self.class_of(y)
 
     def class_of(self, x):
         if not 0 <= x < len(self.relation):
@@ -40,11 +41,8 @@ class ConLattice(namedtuple("ConLattice", "congruences generators refines")):
 def filters_of_negative_cone(alg):
     """All filters of the negative cone, one per cone element (finite case)."""
     cone = alg.neg_cone
-    out = []
-    for a in bits(cone):
-        elements = tuple(bits(cone & alg.lat_up[a]))
-        out.append(NegConeFilter(elements, a))
-    return out
+    return [NegConeFilter(tuple(bits(cone & alg.lat_up[a])), a)
+            for a in bits(cone)]
 
 
 def congruence_from_filter(alg, f):
@@ -97,33 +95,44 @@ def congruence_lattice(alg):
 def quotient(alg, theta):
     """Algebra on the classes of theta; operations induced classwise.
 
-    Raises ValueError if alg is not a member or theta's classes do not
-    respect the operations; the quotient of a member by a congruence is a
-    member and is not checked again.
+    Raises ValueError if alg is not a member, if theta's classes do not
+    hold each element once or its relation is not theirs, or if they do
+    not respect the operations; the quotient is not checked again.
     """
     check_member(alg)
-    n = alg.n
-    cls_of = [None] * n
+    cls_of = [None] * alg.n
     for i, cls in enumerate(theta.classes):
+        if not cls:
+            raise ValueError("class %d is empty" % i)
         for x in cls:
+            if x not in range(alg.n) or cls_of[x] is not None:
+                raise ValueError("class %d holds %r, outside the carrier "
+                                 "or twice" % (i, x))
             cls_of[x] = i
-    if any(i is None for i in cls_of):
+    if None in cls_of:
         raise ValueError("classes do not cover the carrier")
+    masks = [mask_of(cls) for cls in theta.classes]
+    if list(theta.relation) != [masks[i] for i in cls_of]:
+        raise ValueError("relation is not the relation of the classes")
+
+    # row x: the classes of neg x, then of x v z and x.z for each z; the
+    # first element whose row is not its class minimum's, and the first
+    # difference, name the operation that the classes do not respect
+    m = cls_of.__getitem__
+    rows = [[m(nx), *map(m, chain.from_iterable(zip(jr, fr)))]
+            for nx, jr, fr in zip(alg.neg, alg.join, alg.fusion)]
+    for cls in sorted(map(sorted, theta.classes)):
+        for y in cls[1:]:
+            z = _first_ne(rows[y], rows[cls[0]])
+            if z is not None:
+                raise ValueError("%s is ill-defined on classes" % (
+                    "negation", "join", "fusion")[z and 2 - z % 2])
+
     reps = [cls[0] for cls in theta.classes]
-    k = len(reps)
 
-    for x in range(n):
-        for y in bits(theta.relation[x]):
-            if cls_of[alg.neg[x]] != cls_of[alg.neg[y]]:
-                raise ValueError("negation is ill-defined on classes")
-            for z in range(n):
-                if cls_of[alg.join[x][z]] != cls_of[alg.join[y][z]]:
-                    raise ValueError("join is ill-defined on classes")
-                if cls_of[alg.fusion[x][z]] != cls_of[alg.fusion[y][z]]:
-                    raise ValueError("fusion is ill-defined on classes")
+    def table(offset):
+        cols = [2 * r + offset for r in reps]
+        return [list(map(rows[r].__getitem__, cols)) for r in reps]
 
-    names = [alg.names[r] for r in reps]
-    neg = [cls_of[alg.neg[r]] for r in reps]
-    join = [[cls_of[alg.join[x][y]] for y in reps] for x in reps]
-    fusion = [[cls_of[alg.fusion[x][y]] for y in reps] for x in reps]
-    return FiniteInRL(names, cls_of[alg.one], neg, join, fusion)
+    return FiniteInRL([alg.names[r] for r in reps], cls_of[alg.one],
+                      [rows[r][0] for r in reps], table(1), table(2))

@@ -7,10 +7,10 @@ dually isomorphic to the positive cone.
 """
 
 from collections import namedtuple
-from itertools import chain
-from operator import getitem
+from itertools import chain, compress, repeat, takewhile
+from operator import eq, getitem, itemgetter
 
-from .core import Report, bits, check_member
+from .core import Report, _first_ne, bits, check_member
 
 
 class BooleanBlock(namedtuple("BooleanBlock", "bottom top elements")):
@@ -30,8 +30,10 @@ def block(alg, x):
     The bottom is computed both as meet(x, neg x) and as fusion(x, neg x);
     a mismatch means the input tables are corrupted. The meet is the one
     cell neg(neg x v neg neg x) of De Morgan's formula, not a row of the
-    meet table.
+    meet table. Raises ValueError on an id outside the carrier.
     """
+    if x not in range(alg.n):
+        raise ValueError("no element has id %r" % (x,))
     ng = alg.neg
     nx = ng[x]
     bottom = ng[alg.join[nx][ng[nx]]]
@@ -183,9 +185,23 @@ def join_incompatibility_witness(alg, p):
     An element past the end of block_of is in no block, so it shares one
     with no element, itself included.
     """
-    bo, jn, rng = p.block_of, alg.join, range(alg.n)
-    if len(bo) < alg.n:
-        # nan equals nothing, not even itself
-        bo = list(bo) + [float("nan")] * (alg.n - len(bo))
-    return next(((x, y, z) for x in rng for y in rng if bo[x] == bo[y]
-                 for z in rng if bo[jn[z][x]] != bo[jn[z][y]]), None)
+    bo, jn, n = p.block_of, alg.join, alg.n
+
+    def column(x):
+        # the blocks of z v x for each z up to the first z v x in no block,
+        # then a new object: two columns differ at the shorter one's end,
+        # which is n when both are whole
+        return [*map(bo.__getitem__, takewhile(
+            len(bo).__gt__, map(itemgetter(x), jn))), object()]
+
+    for x in range(min(n, len(bo))):
+        if bo.index(bo[x]) < x:
+            continue
+        # x is the least of its block, which respects join when every
+        # column in it is x's up to the end
+        cx = column(x)
+        for y in compress(range(n), map(eq, bo, repeat(bo[x]))):
+            z = _first_ne(cx, column(y))
+            if z < n:
+                return x, y, z
+    return None

@@ -8,38 +8,12 @@ from collections import namedtuple
 from itertools import repeat
 from operator import or_
 
-from .core import (Report, _absorbed_masks, _first_distributivity_failure,
-                   _transpose, bits, check_member)
+from .core import Report, _first_distributivity_failure, bits, check_member
 
 
 class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness",
                                  defaults=(None,))):
     __slots__ = ()
-
-
-def distributive_semilattice_table(meet):
-    """Distributivity of the meet-semilattice given by an explicit table.
-
-    Condition: whenever meet(x, y) is below z, some x' above x and y' above y
-    satisfy meet(x', y') = z. Orders and bounds are read off the table alone.
-    """
-    n = len(meet)
-    up = _absorbed_masks(meet)   # up[x]: the mask of {y : meet(x, y) = x}
-    dn = _transpose(up)
-    # factor[z][x]: targets y' completing some x' above x to meet(x',y') = z
-    factor = [[0] * n for _ in range(n)]
-    for xp in range(n):
-        row, below = meet[xp], list(bits(dn[xp]))
-        for yp in range(n):
-            fz, bit = factor[row[yp]], 1 << yp
-            for x in below:
-                fz[x] |= bit
-    for x in range(n):
-        for y in range(n):
-            for z in bits(up[meet[x][y]]):
-                if not factor[z][x] & up[y]:
-                    return PropertyVerdict(False, (x, y, z))
-    return PropertyVerdict(True)
 
 
 def is_distributive_semilattice(alg):
@@ -78,15 +52,11 @@ def is_semilinear(alg):
     """((x -> y) ^ 1) v ((y -> x) ^ 1) = 1 for all pairs; raises ValueError
     on a non-member."""
     check_member(alg)
-    n = alg.n
-    one = alg.one
+    one, rng = alg.one, range(alg.n)
     mt, jn, imp = alg.meet, alg.join, alg.imp
-    for x in range(n):
-        for y in range(n):
-            lhs = jn[mt[imp[x][y]][one]][mt[imp[y][x]][one]]
-            if lhs != one:
-                return PropertyVerdict(False, (x, y))
-    return PropertyVerdict(True)
+    w = next(((x, y) for x in rng for y in rng
+              if jn[mt[imp[x][y]][one]][mt[imp[y][x]][one]] != one), None)
+    return PropertyVerdict(w is None, w)
 
 
 def elementary_properties(alg):
@@ -134,8 +104,12 @@ def elementary_properties(alg):
 
 
 def subalgebra_generated(alg, seeds):
-    """Least subset containing seeds and 1, closed under join, fusion, neg."""
+    """Least subset containing seeds and 1, closed under join, fusion, neg;
+    raises ValueError on a seed outside the carrier."""
     closed = frontier = set(seeds) | {alg.one}
+    outside = closed.difference(range(alg.n))
+    if outside:
+        raise ValueError("no element has id %r" % min(outside))
     while frontier:
         # what neg, join and fusion give from the last round's elements
         fresh = {alg.neg[x] for x in frontier}

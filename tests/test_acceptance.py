@@ -7,7 +7,8 @@ broke.
 
 import time
 
-from oracles import naive_congruences, naive_isomorphic
+from oracles import (naive_congruences, naive_isomorphic,
+                     semilattice_distributivity_witness)
 from rlat import (FiniteInRL, elementary_properties, find_isomorphism,
                   subalgebra_generated, validate)
 from rlat.congruence import congruence_lattice
@@ -18,8 +19,7 @@ from rlat.generate import build_an
 from rlat.gluing import glue
 from rlat.partition import (join_incompatibility_witness, partition,
                             verify_partition)
-from rlat.props import (distributive_semilattice_table,
-                        is_lattice_distributive, is_semilinear)
+from rlat.props import is_lattice_distributive, is_semilinear
 
 
 def _verdict(num, label, failures):
@@ -174,10 +174,10 @@ def test_criterion_06_congruence_theorem(corpus6):
 def test_criterion_07_distributive_semilattice(corpus6):
     failures = []
     for i, alg in enumerate(corpus6.algebras):
-        if not distributive_semilattice_table(alg.fusion).holds:
+        if semilattice_distributivity_witness(alg.fusion):
             failures.append("corpus %d/%s fails" % (alg.n, i))
     for n in range(7):
-        if not distributive_semilattice_table(build_an(n).fusion).holds:
+        if semilattice_distributivity_witness(build_an(n).fusion):
             failures.append("an(%d) fails" % n)
     _verdict(7, "distributive monoidal semilattice", failures)
 
@@ -268,9 +268,9 @@ def _split_failures(alg):
         for z in range(lo.n):
             if glued.leq(z, glued.zero) != lo.leq(z, lo.zero):
                 out.append("glued zero at atom %s" % alg.names[c])
-        if (distributive_semilattice_table(lo.fusion).holds
-                and distributive_semilattice_table(up.fusion).holds
-                and not distributive_semilattice_table(glued.fusion).holds):
+        distributive = [semilattice_distributivity_witness(t.fusion) is None
+                        for t in (lo, up, glued)]
+        if distributive == [True, True, False]:
             out.append("distributivity lost at atom %s" % alg.names[c])
     return out
 

@@ -142,9 +142,7 @@ class TestCongruenceLattice:
 
 class TestQuotient:
     def test_every_quotient_validates(self, corpus6):
-        for alg in corpus6.algebras:
-            if alg.n > 5:
-                continue
+        for alg in list(corpus6.algebras) + [build_an(4), boolean_algebra(5)]:
             for theta in congruence_lattice(alg).congruences:
                 q = quotient(alg, theta)
                 assert q.n == len(theta.classes)
@@ -186,6 +184,27 @@ class TestQuotient:
         with pytest.raises(ValueError, match=message):
             quotient(a1, theta)
 
+    @pytest.mark.parametrize("relation, classes, message", [
+        # the identity relation beside classes that merge 0 and 1
+        ((1, 2, 4, 8), ((0, 1), (2,), (3,)),
+         "relation is not the relation of the classes"),
+        ((3, 3, 4, 8), ((0, 1), (2,), (3, 4)),
+         "class 2 holds 4, outside the carrier or twice"),
+        ((1, 2, 4, 8 | 16), ((0,), (1,), (2,), (3,)),
+         "relation is not the relation of the classes"),
+        ((1, 2, 4, 8), ((0,), (1,), (2,), (-1,)),
+         "class 3 holds -1, outside the carrier or twice"),
+        ((1, 2, 4, 8), ((0,), (1,), (2,), (3,), (3,)),
+         "class 4 holds 3, outside the carrier or twice"),
+        ((1, 2, 4, 8), ((0,), (1,), (), (2,), (3,)), "class 2 is empty"),
+    ])
+    def test_rejects_classes_that_are_not_a_partition(self, relation,
+                                                      classes, message):
+        # on boolean_algebra(2), whose ids are 0..3
+        theta = Congruence(relation, classes, classes[-1])
+        with pytest.raises(ValueError, match=message):
+            quotient(boolean_algebra(2), theta)
+
     def test_class_of_is_the_class_holding_x(self, a1, corpus6):
         for alg in [a1] + list(corpus6.algebras):
             for theta in congruence_lattice(alg).congruences:
@@ -204,3 +223,6 @@ class TestQuotient:
         assert theta.class_of(x) == (x,)
         with pytest.raises(ValueError):
             theta.class_of(a1.n + 5)
+        for pair in ((-1, 0), (0, -1), (a1.n, 0), (0, a1.n)):
+            with pytest.raises(ValueError, match="element out of range"):
+                theta.related(*pair)

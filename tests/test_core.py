@@ -501,6 +501,11 @@ class TestSubalgebra:
         got = subalgebra_generated(a1, [])
         assert {a1.names[x] for x in got} == {"0", "1"}
 
+    @pytest.mark.parametrize("seed", [-1, 4])
+    def test_rejects_seed_outside_the_carrier(self, seed):
+        with pytest.raises(ValueError, match="no element has id %d" % seed):
+            subalgebra_generated(boolean_algebra(2), [seed])
+
     def test_monotone_and_idempotent(self, a1):
         seed = [a1.element("a")]
         first = subalgebra_generated(a1, seed)

@@ -72,6 +72,11 @@ def test_package_import_loads_no_submodule():
     assert rlat_modules("import rlat") == ["rlat"]
 
 
+def test_every_exported_name_loads_lazily():
+    import rlat
+    assert sorted(rlat._LAZY) == sorted(rlat.__all__)
+
+
 @pytest.mark.parametrize("argv, modules", [
     ("check a1.rlat", ""),
     ("partition a1.rlat", "partition"),

@@ -47,6 +47,9 @@ class TestBlockStructure:
             assert x in b.elements
             for y in b.elements:
                 assert block(a1, y) == b
+        for x in (-1, a1.n):
+            with pytest.raises(ValueError, match="no element has id"):
+                block(a1, x)
 
     def test_block_of_indexes_blocks(self, corpus6):
         for alg in corpus6.algebras:
