@@ -7,6 +7,7 @@ procedures, exhaustive enumeration up to isomorphism, and text file formats.
 
 import sys
 
+# each public name -> the module that defines it, loaded on first use
 _LAZY = {name: module for module, names in (
     ("congruence", "Congruence ConLattice NegConeFilter quotient "
                    "congruence_from_filter congruence_lattice "
@@ -24,6 +25,8 @@ _LAZY = {name: module for module, names in (
               "is_distributive_semilattice is_lattice_distributive "
               "is_semilinear subalgebra_generated"),
     ("search", "Corpus enumerate_up_to_iso")) for name in names.split()}
+
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name):
@@ -48,18 +51,3 @@ class _Package(type(sys)):
 
 
 sys.modules[__name__].__class__ = _Package
-
-__all__ = [
-    "AXIOM_NAMES", "BooleanBlock", "ConLattice", "Congruence", "Corpus",
-    "DecompositionTree", "FiniteInRL", "GluedAlgebra", "GluingSpec",
-    "GluingSpecFile", "Leaf", "NegConeFilter", "Node", "ParseError",
-    "Partition", "PropertyVerdict", "Report", "SplitResult", "block",
-    "boolean_algebra", "build_an", "build_spec", "congruence_from_filter",
-    "congruence_lattice", "decompose", "dot_export", "elementary_properties",
-    "emit", "emit_gluing", "enumerate_up_to_iso", "filters_of_negative_cone",
-    "find_atoms", "find_isomorphism", "glue", "is_distributive_semilattice",
-    "is_lattice_distributive", "is_semilinear",
-    "join_incompatibility_witness", "load_algebra", "parse", "parse_gluing",
-    "partition", "quotient", "reassemble", "split", "subalgebra_generated",
-    "validate", "validate_gluing", "verify_partition", "write_tree",
-]

@@ -13,8 +13,11 @@ from .core import Rejected, check_member, validate
 from .fileformat import (TREE_ROOT, ParseError, dot_export, emit,
                          load_algebra, parse, parse_gluing, write_tree)
 
-# property name -> the function of rlat.props that decides it; the modules
-# past core and fileformat load only in the commands that use them
+# the package: the commands reach every other public name through it, so
+# each loads only the modules of the names it reads
+rlat = sys.modules[__package__]
+
+# property name -> the function of rlat.props that decides it
 _PROPS = {
     "distr-semilattice": "is_distributive_semilattice",
     "distr-lattice": "is_lattice_distributive",
@@ -40,9 +43,8 @@ def _cmd_check(args):
 
 
 def _cmd_partition(args):
-    from .partition import partition
     alg = _read_algebra(args.file)
-    p = partition(alg)
+    p = rlat.partition(alg)
     for b in p.blocks:
         print("block bottom=%s top=%s elements=%s"
               % (alg.names[b.bottom], alg.names[b.top],
@@ -52,9 +54,8 @@ def _cmd_partition(args):
 
 
 def _cmd_congruences(args):
-    from .congruence import congruence_lattice
     alg = _read_algebra(args.file)
-    con = congruence_lattice(alg)
+    con = rlat.congruence_lattice(alg)
     print("congruences %d" % len(con.congruences))
     for gen, theta in zip(con.generators, con.congruences):
         print("generator=%s classes=%d" % (alg.names[gen],
@@ -63,7 +64,6 @@ def _cmd_congruences(args):
 
 
 def _cmd_glue(args):
-    from .gluing import build_spec, glue
     if args.specfile == "-":
         sf = parse_gluing(sys.stdin.read())
         base = os.getcwd()
@@ -74,7 +74,7 @@ def _cmd_glue(args):
     paths = [os.path.join(base, ref) for ref in (sf.lower_ref, sf.upper_ref)]
     lower, upper = map(_read_algebra, paths)
     try:
-        glued = glue(build_spec(sf, lower, upper))
+        glued = rlat.glue(rlat.build_spec(sf, lower, upper))
     except Rejected as exc:
         for line in exc.report.lines():
             print(line)
@@ -88,12 +88,10 @@ def _cmd_glue(args):
 
 
 def _cmd_decompose(args):
-    from .decompose import decompose
-    from .gluing import Leaf
     alg = _read_algebra(args.file)
-    tree = decompose(alg)
+    tree = rlat.decompose(alg)
     for part, name in tree._named(TREE_ROOT):
-        if isinstance(part, Leaf):
+        if isinstance(part, rlat.Leaf):
             print("leaf %s: %d elements" % (name, part.algebra.n))
         else:
             print("node %s: atom=%s complement=%s a=%s b=%s"
@@ -116,18 +114,13 @@ def _cmd_reassemble(args):
 
 
 def _cmd_gen(args):
-    from .generate import boolean_algebra, build_an
-    if args.family == "an":
-        alg = build_an(args.number)
-    else:
-        alg = boolean_algebra(args.number)
-    sys.stdout.write(emit(alg))
+    build = rlat.build_an if args.family == "an" else rlat.boolean_algebra
+    sys.stdout.write(emit(build(args.number)))
     return 0
 
 
 def _cmd_enum(args):
-    from .search import enumerate_up_to_iso
-    corpus = enumerate_up_to_iso(args.maxsize)
+    corpus = rlat.enumerate_up_to_iso(args.maxsize)
     os.makedirs(args.out, exist_ok=True)
     index = {}
     for alg in corpus.algebras:
@@ -143,9 +136,8 @@ def _cmd_enum(args):
 
 
 def _cmd_prop(args):
-    from . import props
     alg = _read_algebra(args.file)
-    verdict = getattr(props, _PROPS[args.name])(alg)
+    verdict = getattr(rlat, _PROPS[args.name])(alg)
     if verdict.holds:
         print("holds")
         return 0

@@ -52,7 +52,8 @@ def congruence_from_filter(alg, f):
     negative cone.
     """
     check_member(alg)
-    if not (alg.neg_cone >> f.generator) & 1:
+    if not (f.generator in range(alg.n)
+            and (alg.neg_cone >> f.generator) & 1):
         raise ValueError("filter generator %d is not in the negative cone"
                          % f.generator)
     return _kernel(alg, f.generator)

@@ -20,15 +20,6 @@ _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 TREE_ROOT = "t"
 
 
-def __getattr__(name):
-    """build_spec, from gluing, which loads only where a file is glued."""
-    if name != "build_spec":
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from .gluing import build_spec
-    return build_spec
-
-
 class ParseError(Exception):
     def __init__(self, lineno, message):
         super().__init__("line %d: %s" % (lineno, message))

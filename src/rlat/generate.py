@@ -19,9 +19,12 @@ def boolean_algebra(k):
     """Boolean algebra on k atoms; fusion is meet, 2^k elements."""
     if k < 0:
         raise ValueError("atom count must be nonnegative")
+    # 2^k > SIZE_CAP exactly when k >= SIZE_CAP.bit_length(); neither 2^k
+    # nor k is built or printed, since either may have too many digits
+    if k >= SIZE_CAP.bit_length():
+        raise ValueError("size 2^k exceeds cap %d for k > %d"
+                         % (SIZE_CAP, SIZE_CAP.bit_length() - 1))
     n = 1 << k
-    if n > SIZE_CAP:
-        raise ValueError("size %d exceeds cap %d" % (n, SIZE_CAP))
     full = n - 1
 
     def name(m):
@@ -54,7 +57,8 @@ def build_an(n):
     if n < 0:
         raise ValueError("index must be nonnegative")
     if 4 * n + 6 > SIZE_CAP:
-        raise ValueError("size %d exceeds cap %d" % (4 * n + 6, SIZE_CAP))
+        raise ValueError("size 4n+6 exceeds cap %d for n > %d"
+                         % (SIZE_CAP, (SIZE_CAP - 6) // 4))
     tree = Leaf(_block(0))
     for i in range(n):
         a, b = ("x_%d", "-x_%d") if i % 2 == 0 else ("-x_%d", "x_%d")

@@ -52,14 +52,9 @@ def enumerate_up_to_iso(max_size):
 
 
 def _neg_shape(n):
-    if n % 2 == 1:
-        neg = [0] + [0] * (n - 1)
-        for i in range(1, n, 2):
-            neg[i], neg[i + 1] = i + 1, i
-    else:
-        neg = [1, 0] + [0] * (n - 2)
-        for i in range(2, n, 2):
-            neg[i], neg[i + 1] = i + 1, i
+    neg = list(range(n))
+    for i in range(n % 2, n, 2):
+        neg[i], neg[i + 1] = i + 1, i
     return neg
 
 

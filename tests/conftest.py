@@ -34,7 +34,8 @@ def corpus7(corpus6):
 
 @pytest.fixture(scope="session")
 def sample_spec():
-    from rlat.fileformat import build_spec, parse_gluing
+    from rlat.fileformat import parse_gluing
+    from rlat.gluing import build_spec
     text = (FIXTURES / "sample.gspec").read_text(encoding="utf-8")
     sf = parse_gluing(text)
     lower = load_algebra(str(FIXTURES / sf.lower_ref))

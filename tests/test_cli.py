@@ -331,8 +331,11 @@ class TestGen:
 
     def test_size_cap(self, capsys):
         # build_an(1000) has n = 4006 and would not finish; it is refused
-        # before anything is built
-        for argv in (("an", "1000"), ("bool", "11")):
+        # before anything is built. Sizes with more digits than Python
+        # prints, and 2^k too large to build, are refused the same way
+        for argv in (("an", "1000"), ("bool", "11"),
+                     ("bool", "100000000000000000000"), ("bool", "20000"),
+                     ("an", "9" * 4300)):
             code, out, err = invoke(capsys, "gen", *argv)
             assert (code, out) == (2, "")
             assert err.startswith("error: size") and "exceeds cap" in err

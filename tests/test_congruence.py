@@ -84,6 +84,11 @@ class TestCongruenceFromFilter:
         top = a1.element("top")
         with pytest.raises(ValueError):
             congruence_from_filter(a1, NegConeFilter((top,), top))
+        # ids outside the carrier are named, not shifted by
+        for gen in (-1, a1.n):
+            with pytest.raises(ValueError, match="filter generator %d is "
+                               "not in the negative cone" % gen):
+                congruence_from_filter(a1, NegConeFilter((), gen))
 
 
 class TestCongruenceOracles:

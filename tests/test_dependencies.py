@@ -72,6 +72,19 @@ def test_package_import_loads_no_submodule():
     assert rlat_modules("import rlat") == ["rlat"]
 
 
+def test_cli_imports_from_the_package_only_core_and_fileformat():
+    # every other public name is read through the package, whose _LAZY
+    # table says which module defines it; imports inside the commands count
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            # from . import props names the module props
+            relative.update([node.module] if node.module
+                            else (alias.name for alias in node.names))
+    assert relative == {"core", "fileformat"}
+
+
 def test_every_exported_name_loads_lazily():
     import rlat
     assert sorted(rlat._LAZY) == sorted(rlat.__all__)
@@ -121,14 +134,6 @@ def test_package_names_survive_commands_that_load_their_modules():
         "      sys.modules['rlat.partition'].partition is partition)\n"
         % (a1, a1))
     assert out.splitlines() == ["True True", "True True True True"]
-
-
-def test_build_spec_from_fileformat():
-    out = fresh_python("from rlat.fileformat import build_spec\n"
-                       "import rlat\n"
-                       "print(build_spec is rlat.build_spec,\n"
-                       "      build_spec.__module__)\n")
-    assert out.split() == ["True", "rlat.gluing"]
 
 
 def test_package_names_survive_importing_every_submodule_first():

@@ -4,12 +4,11 @@ import pytest
 
 from rlat import FiniteInRL
 from rlat.cli import run
-from rlat.fileformat import (ParseError, build_spec, dot_export, emit,
-                             emit_gluing, load_algebra, parse, parse_gluing,
-                             write_tree)
+from rlat.fileformat import (ParseError, dot_export, emit, emit_gluing,
+                             load_algebra, parse, parse_gluing, write_tree)
 from rlat.decompose import Leaf, Node, decompose, reassemble
 from rlat.generate import boolean_algebra, build_an
-from rlat.gluing import GluingSpec, glue
+from rlat.gluing import GluingSpec, build_spec, glue
 
 TINY = ("elements 0 1\none 1\nneg 1 0\n"
         "join 0 1\njoin 1 1\nfusion 0 0\nfusion 0 1\n")
