@@ -78,9 +78,9 @@ AXIOM_NAMES = (
 class FiniteInRL:
     """Finite algebra (names, one, neg, join, fusion); immutable once built.
 
-    Structural well-formedness (shapes, ranges, distinct names) is enforced
-    here and raises ValueError; the equational axioms are checked separately
-    by validate().
+    Structural well-formedness (shapes, int ids in range, distinct names) is
+    enforced here and raises ValueError; the equational axioms are checked
+    separately by validate().
     """
 
     def __init__(self, names, one, neg, join, fusion):
@@ -93,19 +93,24 @@ class FiniteInRL:
             raise ValueError("duplicate element names")
         if not all(isinstance(t, str) and t and not t.isspace() for t in self.names):
             raise ValueError("element names must be nonempty tokens")
-        if not (0 <= one < n):
+        carrier = set(range(n))
+        if one not in carrier:
             raise ValueError("unit out of range")
         self.one = one
         self.neg = list(neg)
-        if len(self.neg) != n or any(not (0 <= v < n) for v in self.neg):
+        if len(self.neg) != n or not set(self.neg) <= carrier:
             raise ValueError("neg must map all %d elements into range" % n)
         self.join = [list(row) for row in join]
         self.fusion = [list(row) for row in fusion]
         for label, table in (("join", self.join), ("fusion", self.fusion)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError("%s table is not %dx%d" % (label, n, n))
-            if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+            if not set(chain.from_iterable(table)) <= carrier:
                 raise ValueError("%s table entry out of range" % label)
+        # ids in range sum to an int unless one is a float, Fraction, ...
+        ids = chain(self.neg, *self.join, *self.fusion)
+        if type(sum(ids, one)) is not int:
+            raise ValueError("element ids must be ints")
         self.index = {name: i for i, name in enumerate(self.names)}
 
     def __eq__(self, other):
@@ -300,7 +305,7 @@ def validate(alg):
         w = None
     else:
         # the one algebra of size 1 passes every axiom, so never gets here
-        w = _first_distributivity_failure(fu, jn)
+        w = _first_distributivity_failure(fu, jn, rng, rng)
     rep.add("fusion distributes over join", w is None, w)
     return rep
 
@@ -319,27 +324,33 @@ def _first_difference(rows, others):
     return None
 
 
-def _first_flat_difference(rows, others, n):
-    """_first_difference over rows that flatten an n x n block per x, as
-    the triple (x, y, z)."""
+def _first_flat_difference(rows, others, xs, ys):
+    """_first_difference over rows that flatten ys x ys per x in xs, as the
+    triple (x, y, z)."""
     w = _first_difference(rows, others)
-    return None if w is None else (w[0],) + divmod(w[1], n)
+    return w and (xs[w[0]], *map(ys.__getitem__, divmod(w[1], len(ys))))
 
 
-def _first_distributivity_failure(op, jn):
-    """The first (x, y, z) with op[x][jn[y][z]] != jn[op[x][y]][op[x][z]],
-    or None.
+def _first_distributivity_failure(op, jn, xs, ys):
+    """The first (x, y, z) over xs, ys, ys, in scan order, with
+    op[x][jn[y][z]] != jn[op[x][y]][op[x][z]], or None.
 
-    Row x over (y, z): op[x] read through jn against jn[op[x][y]] read
-    through op[x]. Callers scan only tables of size 2 or more, so each
-    itemgetter has two or more indexes and returns a tuple.
+    Row x over (y, z): op[x] read at the joins jn[y][z] against the rows
+    jn[op[x][y]] read at op[x][z], each read in C. An itemgetter of one
+    index returns an item, not a tuple, so one y is read as two.
     """
-    read_jn = itemgetter(*chain.from_iterable(jn))
+    if not ys:
+        return None
+    if len(ys) == 1:
+        ys = (*ys, *ys)
+    read_ys = itemgetter(*ys)
+    read_jn = itemgetter(*chain.from_iterable(map(read_ys, read_ys(jn))))
+    rows = list(map(op.__getitem__, xs))
     return _first_flat_difference(
-        map(read_jn, op),
+        map(read_jn, rows),
         (tuple(chain.from_iterable(
             map(itemgetter(*row), map(jn.__getitem__, row))))
-         for row in op), len(op))
+         for row in map(read_ys, rows)), xs, ys)
 
 
 def _first_associativity_failure(t):
@@ -350,9 +361,10 @@ def _first_associativity_failure(t):
     itemgetter has two or more indexes and returns a tuple.
     """
     read_t = itemgetter(*chain.from_iterable(t))
+    rng = range(len(t))
     return _first_flat_difference(
         (tuple(chain.from_iterable(map(t.__getitem__, row))) for row in t),
-        map(read_t, t), len(t))
+        map(read_t, t), rng, rng)
 
 
 class Rejected(ValueError):

@@ -194,7 +194,8 @@ def write_tree(tree, outdir):
 
     The root is named TREE_ROOT. A leaf at name p becomes p.rlat; a node
     becomes p.gspec referencing its children p0 and p1. Returns the list of
-    (filename, kind) written, root first.
+    (filename, kind) written, root first. Raises ValueError, and writes no
+    file, when a name is longer than the directory can hold.
     """
     from .gluing import Leaf
 
@@ -202,8 +203,14 @@ def write_tree(tree, outdir):
         return name + (".rlat" if isinstance(part, Leaf) else ".gspec")
 
     os.makedirs(outdir, exist_ok=True)
+    parts = list(tree._named(TREE_ROOT))
+    # a name grows by one character per level: all are checked first
+    limit = os.pathconf(outdir, "PC_NAME_MAX")
+    if max(len(fname(*p)) for p in parts) > limit:     # ASCII names
+        raise ValueError("tree too deep: its file names are longer than "
+                         "the limit of %d bytes in %s" % (limit, outdir))
     written = []
-    for part, name in tree._named(TREE_ROOT):
+    for part, name in parts:
         if isinstance(part, Leaf):
             kind, text = "leaf", emit(part.algebra)
         else:

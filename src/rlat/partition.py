@@ -10,7 +10,8 @@ from collections import namedtuple
 from itertools import chain, compress, repeat, takewhile
 from operator import eq, getitem, itemgetter
 
-from .core import Report, _first_ne, bits, check_member
+from .core import (Report, _first_distributivity_failure, _first_ne, bits,
+                   check_member)
 
 
 class BooleanBlock(namedtuple("BooleanBlock", "bottom top elements")):
@@ -62,39 +63,30 @@ def partition(alg):
                      list(map(index.__getitem__, bottoms)), skeleton)
 
 
-def _distributivity_failures(alg, xs, ys):
-    """Each (x, y, z) over xs, ys, ys with x ^ (y v z) != (x^y) v (x^z),
-    in scan order."""
-    mt, jn = alg.meet, alg.join
-    return ((x, y, z) for x in xs for y in ys for z in ys
-            if mt[x][jn[y][z]] != jn[mt[x][y]][mt[x][z]])
-
-
 def _boolean_block_failure(alg, b):
     """The first witness that block b is not a Boolean algebra, or None."""
     jn, fu, mt, ng = alg.join, alg.fusion, alg.meet, alg.neg
     if ng[b.bottom] != b.top or not (alg.leq(b.bottom, alg.zero)
                                      and alg.leq(alg.one, b.top)):
         return (b.bottom,)
-    els = set(b.elements)
-    for x in b.elements:
-        if ng[x] not in els:
+    els = b.elements
+    inside = set(els)
+    for x in els:
+        if ng[x] not in inside:
             return (x,)
-        for y in b.elements:
+        for y in els:
             # closed under join and fusion; inside a block the two orders
             # agree and fusion is the meet
-            if (jn[x][y] not in els or fu[x][y] not in els
+            if (jn[x][y] not in inside or fu[x][y] not in inside
                     or alg.mleq(x, y) != alg.leq(x, y)
                     or fu[x][y] != mt[x][y]):
                 return (x, y)
-    for x in b.elements:
-        # x and neg x are complements, then distributivity at x
-        if fu[x][ng[x]] != b.bottom or jn[x][ng[x]] != b.top:
-            return (x,)
-        w = next(_distributivity_failures(alg, (x,), b.elements), None)
-        if w:
-            return w
-    return None
+    # x and neg x are complements, then distributivity at x, for each x:
+    # distributivity is scanned at the elements before the first failure
+    i = next((i for i, x in enumerate(els)
+              if fu[x][ng[x]] != b.bottom or jn[x][ng[x]] != b.top), None)
+    w = _first_distributivity_failure(mt, jn, els[:i], els)
+    return w or (None if i is None else (els[i],))
 
 
 def verify_partition(alg, p):
@@ -132,9 +124,10 @@ def verify_partition(alg, p):
     rep.add("negation is residuation into the block bottom", w is None, w)
 
     bottom_of = [p.blocks[p.block_of[x]].bottom for x in rng]
-    w = next(((y,) for x in rng for y in bits(
-        alg.mon_up[bottom_of[x]] & alg.mon_dn[p.blocks[p.block_of[x]].top])
-        if bottom_of[y] != bottom_of[x]), None)
+    top_of = [p.blocks[p.block_of[x]].top for x in rng]
+    w = next(((y,) for x in rng
+              for y in bits(alg.mon_up[bottom_of[x]] & alg.mon_dn[top_of[x]])
+              if bottom_of[y] != bottom_of[x]), None)
     rep.add("block bottom is constant on the block", w is None, w)
 
     w = next(((x, y) for x in rng for y in rng
@@ -142,7 +135,6 @@ def verify_partition(alg, p):
              None)
     rep.add("bottom map is monotone in the monoidal order", w is None, w)
 
-    top_of = [p.blocks[p.block_of[x]].top for x in rng]
     w = next(((x, y) for x in rng for y in rng
               if fu[bottom_of[x]][bottom_of[y]] != bottom_of[fu[x][y]]
               or fu[top_of[x]][top_of[y]] != top_of[fu[x][y]]), None)
@@ -160,7 +152,7 @@ def verify_partition(alg, p):
          if jn[x][y] not in skel or mt[x][y] not in skel), None)
     rep.add("skeleton is a sublattice with maximum zero", w is None, w)
 
-    w = next(_distributivity_failures(alg, p.skeleton, p.skeleton), None)
+    w = _first_distributivity_failure(mt, jn, p.skeleton, p.skeleton)
     rep.add("skeleton is distributive", w is None, w)
 
     pos = list(bits(alg.pos_cone))

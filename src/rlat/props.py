@@ -36,7 +36,7 @@ def is_lattice_distributive(alg):
     the triple scan runs only to name the first failing (x, y, z).
     """
     check_member(alg)
-    dn, jn = alg.lat_dn, alg.join
+    dn, jn, rng = alg.lat_dn, alg.join, range(alg.n)
     principal = set(dn)
     irreducible = sum(1 << x for x, d in enumerate(dn)
                       if d & ~(1 << x) in principal)
@@ -45,7 +45,8 @@ def is_lattice_distributive(alg):
            == list(map(or_, repeat(bx), below[x + 1:]))
            for x, (bx, row) in enumerate(zip(below, jn))):
         return PropertyVerdict(True)
-    return PropertyVerdict(False, _first_distributivity_failure(alg.meet, jn))
+    return PropertyVerdict(False, _first_distributivity_failure(
+        alg.meet, jn, rng, rng))
 
 
 def is_semilinear(alg):

@@ -12,8 +12,8 @@ decide only the triples that read it, so the fill keeps a preimage index,
 pre[v] the set cells with product v, and tests just those triples: O(n)
 plus the length of pre[t] per cell, not the O(n^2) triples through s and
 t, and the same partial tables are pruned. Each complete fusion induces
-one candidate lattice order (see _orders_for_fusion), and the full axiom
-checker is the final filter.
+one candidate order and its joins (see _orders_for_fusion); the full axiom
+checker is the final filter, and the only check that it is transitive.
 
 Duplicates: each member found is compared by core.find_isomorphism with the
 classes already found at its size. The fill tries every associative,
@@ -24,9 +24,10 @@ relabelling, whichever labelling the search met first.
 """
 
 from collections import namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
+from operator import and_, getitem
 
-from .core import FiniteInRL, bits, find_isomorphism, mask_of, validate
+from .core import FiniteInRL, find_isomorphism, validate
 
 # the largest size `rlat enum` finishes in under a minute
 SIZE_CAP = 7
@@ -122,14 +123,19 @@ def _orders_for_fusion(n, names, neg, fusion, found):
     # z . neg(z) . neg(z) = z . neg(z) <= 0 gives z . neg(z) <= z. So the
     # down-set of 0 is D = {x . neg(x)}; verify_partition's "skeleton is
     # the down-set of zero" checks this on the corpus.
-    d = 0
-    for x in range(n):
-        d |= 1 << fusion[x][neg[x]]
-    up = [mask_of(y for y in range(n) if (d >> fusion[x][neg[y]]) & 1)
-          for x in range(n)]
-    join = _join_table(n, up)
-    if join is None:
+    d = set(map(getitem, fusion, neg))
+    pow2 = [1 << y for y in range(n)]
+    up = [sum(compress(pow2, map(d.__contains__, map(row.__getitem__, neg))))
+          for row in fusion]
+    # x v y has the up-set up[x] & up[y]. up is not checked to be
+    # transitive: when validate passes, up was the order, by the above, so
+    # validate rejects every candidate whose up is not an order.
+    least = dict(zip(up, range(n)))
+    if len(least) < n:           # two elements share an up-set
         return
+    join = [list(map(least.get, map(and_, repeat(ux), up))) for ux in up]
+    if None in chain.from_iterable(join):
+        return                   # some pair has no join
     # FiniteInRL copies the tables, so fusion stays free to refill
     alg = FiniteInRL(names, 0, neg, join, fusion)
     if not validate(alg).ok:
@@ -144,24 +150,3 @@ def _orders_for_fusion(n, names, neg, fusion, found):
                 entry[:] = key, alg
             return
     found.append([key, alg])
-
-
-def _join_table(n, up):
-    """The join table of the reflexive relation up, or None unless up is a
-    partial order with all joins."""
-    # transitive when each up-set holds the up-sets of its elements, and
-    # then antisymmetric when the up-sets are distinct
-    if any(up[y] & ~row for row in up for y in bits(row)):
-        return None
-    least = {mask: z for z, mask in enumerate(up)}
-    if len(least) < n:
-        return None
-    # the join of x and y is the element whose up-set is their common up-set
-    join = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            m = least.get(up[x] & up[y])
-            if m is None:
-                return None
-            join[x][y] = join[y][x] = m
-    return join

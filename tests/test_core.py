@@ -9,7 +9,8 @@ from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
                   find_isomorphism, subalgebra_generated, validate)
-from rlat.core import _fingerprints, _is_semilattice
+from rlat.core import (_fingerprints, _first_distributivity_failure,
+                       _is_semilattice)
 from rlat.generate import boolean_algebra, build_an
 
 
@@ -53,6 +54,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteInRL(["0", "1"], 1, [1, 0], [[0, 9], [1, 1]],
                        [[0, 0], [0, 1]])
+
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(ValueError, match="ids must be ints"):
+            FiniteInRL(["a"], 0.0, [0], [[0]], [[0]])
+        for neg, join, fusion in (([0.0], [[0]], [[0]]),
+                                  ([0], [[0.0]], [[0]]),
+                                  ([0], [[0]], [[0.0]])):
+            with pytest.raises(ValueError, match="ids must be ints"):
+                FiniteInRL(["a"], 0, neg, join, fusion)
+        for join, fusion in (([[0, 1.0], [1, 1]], [[0, 0], [0, 1]]),
+                             ([[0, 1], [1, 1]], [[0, 0], [0, 1.0]])):
+            with pytest.raises(ValueError, match="ids must be ints"):
+                FiniteInRL(["0", "1"], 1, [1, 0], join, fusion)
 
     def test_element_lookup(self, a1):
         assert a1.names[a1.element("a")] == "a"
@@ -208,6 +222,48 @@ class TestValidateAgainstScan:
         for alg in [a1, build_an(3)] + list(corpus6.algebras):
             assert _is_semilattice(alg.join, alg.lat_up)
             assert _is_semilattice(alg.fusion, alg.mon_dn)
+
+
+def scan_distributivity(op, jn, xs, ys):
+    """The first (x, y, z) over xs, ys, ys by a plain triple loop."""
+    return next(((x, y, z) for x in xs for y in ys for z in ys
+                 if op[x][jn[y][z]] != jn[op[x][y]][op[x][z]]), None)
+
+
+class TestDistributivityScanOnSubsets:
+    """The row scan over index subsets names what the triple loop names,
+    on ranges and on unsorted, one-element and empty id sequences."""
+
+    @pytest.mark.parametrize("which", ["a1", "an2", "bool3"])
+    def test_seeded_mutants(self, a1, which):
+        alg = {"a1": a1, "an2": build_an(2),
+               "bool3": boolean_algebra(3)}[which]
+        rng = random.Random(18)
+        n = alg.n
+        ids = list(range(n))
+        witnesses = set()
+        for _ in range(40):
+            label = rng.choice(("join", "fusion"))
+            # a third of the cells on the diagonal, where a join mutant
+            # can fail at (x, i, i), on the one-element ys [i]
+            i = rng.randrange(n)
+            j = i if rng.randrange(3) == 0 else rng.randrange(n)
+            t = [row[:] for row in getattr(alg, label)]
+            t[i][j] = rng.randrange(n)
+            tables = {"join": alg.join, "fusion": alg.fusion, label: t}
+            bad = FiniteInRL(alg.names, alg.one, alg.neg, tables["join"],
+                             tables["fusion"])
+            subsets = [range(n), rng.sample(ids, rng.randrange(2, n)),
+                       tuple(rng.sample(ids, 3)), [i], ()]
+            for op in (bad.fusion, bad.meet):
+                for xs in subsets:
+                    for ys in subsets:
+                        want = scan_distributivity(op, bad.join, xs, ys)
+                        assert _first_distributivity_failure(
+                            op, bad.join, xs, ys) == want, (label, xs, ys)
+                        witnesses.add(want is not None and len(ys))
+        # failures were found on whole ranges, subsets and one-element ys
+        assert {n, 1} < witnesses
 
 
 class TestDerived:

@@ -4,7 +4,8 @@ import hashlib
 import pytest
 
 import rlat.search
-from oracles import associative_unit_zero_tables, naive_isomorphic
+from oracles import (associative_unit_zero_tables, naive_isomorphic,
+                     satisfies_all_laws)
 from rlat import enumerate_up_to_iso, find_isomorphism, validate
 from rlat.fileformat import emit
 from rlat.generate import boolean_algebra, build_an
@@ -88,6 +89,50 @@ class TestFill:
         rlat.search._enumerate_size(n)
         assert len(reached) == len(set(reached))
         assert set(reached) == associative_unit_zero_tables(n)
+
+
+def oracle_accepts(neg, fusion):
+    """Whether the D-order of the fusion table, x <= y iff x . neg(y) is a
+    block bottom, is a partial order with all binary joins whose join
+    table, with fusion and neg, satisfies every law, by plain loops."""
+    rng = range(len(neg))
+    d = {fusion[x][neg[x]] for x in rng}
+
+    def leq(x, y):
+        return fusion[x][neg[y]] in d
+
+    if any(leq(x, y) and leq(y, x) for x in rng for y in rng if x != y):
+        return False
+    if any(leq(x, y) and leq(y, z) and not leq(x, z)
+           for x in rng for y in rng for z in rng):
+        return False
+    join = [[None] * len(neg) for _ in rng]
+    for x in rng:
+        for y in rng:
+            ubs = [z for z in rng if leq(x, z) and leq(y, z)]
+            least = [z for z in ubs if all(leq(z, u) for u in ubs)]
+            if not least:
+                return False
+            join[x][y] = least[0]
+    return satisfies_all_laws(0, neg, join, fusion)
+
+
+class TestOrderStep:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_accepts_exactly_the_oracle_tables(self, n):
+        # the order step checks no transitivity and leaves it to validate:
+        # it must still accept exactly the fusion tables whose D-order is
+        # a lattice that makes a member
+        names = ["e%d" % i for i in range(n)]
+        neg = rlat.search._neg_shape(n)
+        accepted = 0
+        for table in associative_unit_zero_tables(n):
+            fusion = [list(row) for row in table]
+            found = []
+            rlat.search._orders_for_fusion(n, names, neg, fusion, found)
+            assert bool(found) == oracle_accepts(neg, fusion), table
+            accepted += bool(found)
+        assert accepted == {1: 1, 2: 1, 3: 2, 4: 3, 5: 12}[n]
 
 
 class TestBounds:

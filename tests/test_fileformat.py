@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -273,6 +274,35 @@ class TestWriteTree:
         rebuilt = load_algebra(str(tmp_path / "t.gspec"))
         assert sorted(rebuilt.names) == sorted(alg.names)
         assert rebuilt == reassemble(tree)
+
+
+class TestNameLimit:
+    """Names grow by one character per level, so a deep enough chain of
+    nodes has names that the directory cannot hold. The deepest names,
+    "t" + levels zeros + ".gspec" or ".rlat", are levels + 6 bytes long."""
+
+    def chain(self, levels):
+        tree = Leaf(two(0))
+        for i in range(1, levels + 1):
+            tree = Node(None, None, "1_%d" % (i - 1), "0_%d" % i,
+                        (("1_%d" % (i - 1), "0_%d" % i),), tree, Leaf(two(i)))
+        return tree
+
+    def test_refuses_a_name_past_the_limit_and_writes_nothing(self,
+                                                              tmp_path):
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        tree = self.chain(limit - 5)
+        out = tmp_path / "deep"
+        with pytest.raises(ValueError, match="limit of %d bytes" % limit):
+            write_tree(tree, str(out))
+        assert list(out.iterdir()) == []
+
+    def test_writes_names_at_the_limit(self, tmp_path):
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        written = write_tree(self.chain(limit - 6), str(tmp_path))
+        assert max(len(name) for name, _ in written) == limit
+        assert len(written) == 2 * (limit - 6) + 1
+        assert len(list(tmp_path.iterdir())) == len(written)
 
 
 class TestDotExport:
