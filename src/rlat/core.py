@@ -75,6 +75,14 @@ AXIOM_NAMES = (
 )
 
 
+def _ids(ids):
+    # the set of the ids; an unhashable id, such as a list, is no int
+    try:
+        return set(ids)
+    except TypeError:
+        raise ValueError("element ids must be ints") from None
+
+
 class FiniteInRL:
     """Finite algebra (names, one, neg, join, fusion); immutable once built.
 
@@ -89,23 +97,23 @@ class FiniteInRL:
         n = self.n
         if n < 1:
             raise ValueError("empty carrier")
-        if len(set(self.names)) != n:
-            raise ValueError("duplicate element names")
         if not all(isinstance(t, str) and t and not t.isspace() for t in self.names):
             raise ValueError("element names must be nonempty tokens")
+        if len(set(self.names)) != n:
+            raise ValueError("duplicate element names")
         carrier = set(range(n))
-        if one not in carrier:
+        if not _ids((one,)) <= carrier:
             raise ValueError("unit out of range")
         self.one = one
         self.neg = list(neg)
-        if len(self.neg) != n or not set(self.neg) <= carrier:
+        if len(self.neg) != n or not _ids(self.neg) <= carrier:
             raise ValueError("neg must map all %d elements into range" % n)
         self.join = [list(row) for row in join]
         self.fusion = [list(row) for row in fusion]
         for label, table in (("join", self.join), ("fusion", self.fusion)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError("%s table is not %dx%d" % (label, n, n))
-            if not set(chain.from_iterable(table)) <= carrier:
+            if not _ids(chain.from_iterable(table)) <= carrier:
                 raise ValueError("%s table entry out of range" % label)
         # ids in range sum to an int unless one is a float, Fraction, ...
         ids = chain(self.neg, *self.join, *self.fusion)

@@ -15,12 +15,24 @@ t, and the same partial tables are pruned. Each complete fusion induces
 one candidate order and its joins (see _orders_for_fusion); the full axiom
 checker is the final filter, and the only check that it is transitive.
 
+Antisymmetry prune: in a member x <= y iff x . neg(y) lies in D, the set
+of block bottoms x . neg(x) (the proof is in _orders_for_fusion). So the
+cells (x, neg x) are filled first; once they are set, D is fixed. A later
+cell (i, j) then skips every value in D when the cell (neg j, neg i) is
+already set and its value is in D too: in a member the two would say
+i <= neg j and neg j <= i, so i = neg j, and only the first cells have
+that form. Every member's fusion passes the prune, so the fill still meets
+every shaped labelling of each member; it only stops building tables that
+the order step would throw away (at sizes 1-7 the fill completes 391
+tables, of which 187 reach validate, against 23,720 without the prune).
+
 Duplicates: each member found is compared by core.find_isomorphism with the
 classes already found at its size. The fill tries every associative,
-commutative fusion table with unit 0 under the shaped negation, so it meets
-every shaped labelling of each member; the one a class keeps, the least by
-join bytes then fusion bytes, is therefore that member's least shaped
-relabelling, whichever labelling the search met first.
+commutative fusion table with unit 0 under the shaped negation that passes
+the antisymmetry prune, so it meets every shaped labelling of each member;
+the one a class keeps, the least by join bytes then fusion bytes, is
+therefore that member's least shaped relabelling, whichever labelling the
+search met first.
 """
 
 from collections import namedtuple
@@ -30,7 +42,7 @@ from operator import and_, getitem
 from .core import FiniteInRL, find_isomorphism, validate
 
 # the largest size `rlat enum` finishes in under a minute
-SIZE_CAP = 7
+SIZE_CAP = 8
 
 
 class Corpus(namedtuple("Corpus", "max_size algebras counts")):
@@ -62,7 +74,10 @@ def _neg_shape(n):
 def _enumerate_size(n):
     names = ["e%d" % i for i in range(n)]
     neg = _neg_shape(n)
-    cells = list(combinations(range(1, n), 2))
+    # the cells (x, neg x) first: once they are set, D is fixed
+    firsts = [(x, x + 1) for x in range(2 - n % 2, n, 2)]
+    cells = firsts + [c for c in combinations(range(1, n), 2)
+                      if c not in firsts]
     fusion = [[None] * n for _ in range(n)]
     for x in range(n):
         fusion[x][x] = x
@@ -72,6 +87,7 @@ def _enumerate_size(n):
     # pre[v]: the set cells (a, b), both orders, with a . b = v, leaving
     # out the unit's cells, whose triples always associate
     pre = [[]] + [[(x, x)] for x in range(1, n)]
+    d = set()                    # D = {x . neg(x)}, once firsts are set
 
     def consistent(s, t):
         # The triples that read the new cell s . t = v are (s, t, x),
@@ -98,9 +114,17 @@ def _enumerate_size(n):
         if idx == len(cells):
             _orders_for_fusion(n, names, neg, fusion, found)
             return
+        if idx == len(firsts):
+            d.clear()
+            d.update(map(getitem, fusion, neg))
         i, j = cells[idx]
         fi, fj = fusion[i], fusion[j]
-        for v in range(n):
+        vs = range(n)
+        # i . j in D says i <= neg j and neg j . neg i in D says
+        # neg j <= i; both would make i = neg j, one of the firsts
+        if fusion[neg[j]][neg[i]] in d:
+            vs = [v for v in vs if v not in d]
+        for v in vs:
             fi[j] = fj[i] = v
             at_v = pre[v]
             at_v += (i, j), (j, i)
@@ -127,12 +151,12 @@ def _orders_for_fusion(n, names, neg, fusion, found):
     pow2 = [1 << y for y in range(n)]
     up = [sum(compress(pow2, map(d.__contains__, map(row.__getitem__, neg))))
           for row in fusion]
-    # x v y has the up-set up[x] & up[y]. up is not checked to be
-    # transitive: when validate passes, up was the order, by the above, so
-    # validate rejects every candidate whose up is not an order.
+    # x v y has the up-set up[x] & up[y]. up is not checked to be an
+    # order: when validate passes, up was the order, by the above, so
+    # validate rejects every candidate whose up is not one. The fill's
+    # antisymmetry prune leaves no two elements one up-set (none at sizes
+    # 1-8), and a table that did would fail validate all the same.
     least = dict(zip(up, range(n)))
-    if len(least) < n:           # two elements share an up-set
-        return
     join = [list(map(least.get, map(and_, repeat(ux), up))) for ux in up]
     if None in chain.from_iterable(join):
         return                   # some pair has no join

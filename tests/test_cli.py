@@ -359,7 +359,7 @@ class TestEnum:
             assert validate(load_algebra(str(p))).ok
 
     def test_size7_matches_fixtures(self, capsys, tmp_path, fixdir):
-        # the whole corpus to the size cap, about 2 s; the size-7 files
+        # the whole corpus to size 7, under a second; the size-7 files
         # are the pinned fixtures that the size-7 tests load
         code, out, _ = invoke(capsys, "enum", "7", "--out", str(tmp_path))
         assert code == 0

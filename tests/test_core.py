@@ -68,6 +68,16 @@ class TestConstruction:
             with pytest.raises(ValueError, match="ids must be ints"):
                 FiniteInRL(["0", "1"], 1, [1, 0], join, fusion)
 
+    def test_rejects_unhashable_ids_and_names(self):
+        for one, neg, join, fusion in (([0], [0], [[0]], [[0]]),
+                                       (0, [[0]], [[0]], [[0]]),
+                                       (0, [0], [[[0]]], [[0]]),
+                                       (0, [0], [[0]], [[[0]]])):
+            with pytest.raises(ValueError, match="ids must be ints"):
+                FiniteInRL(["a"], one, neg, join, fusion)
+        with pytest.raises(ValueError, match="nonempty tokens"):
+            FiniteInRL([["a"]], 0, [0], [[0]], [[0]])
+
     def test_element_lookup(self, a1):
         assert a1.names[a1.element("a")] == "a"
         with pytest.raises(ValueError):

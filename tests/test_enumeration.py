@@ -78,17 +78,30 @@ class TestCorpus:
 class TestFill:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_reaches_exactly_the_associative_tables(self, monkeypatch, n):
-        # the fill's incremental check prunes a partial table only when
-        # a decided triple fails: it must reach every complete table that
-        # a full triple loop accepts, each once, and no other
+        # the fill prunes a partial table only when a decided triple fails
+        # or two set cells break the D-order's antisymmetry: it must reach
+        # every complete table that a full triple loop accepts and whose
+        # D-order is antisymmetric, each once, and no other
         reached = []
         monkeypatch.setattr(
             rlat.search, "_orders_for_fusion",
             lambda n, names, neg, fusion, found:
                 reached.append(tuple(map(tuple, fusion))))
         rlat.search._enumerate_size(n)
+        neg = rlat.search._neg_shape(n)
         assert len(reached) == len(set(reached))
-        assert set(reached) == associative_unit_zero_tables(n)
+        assert set(reached) == {t for t in associative_unit_zero_tables(n)
+                                if d_order_antisymmetric(neg, t)}
+        assert len(reached) == {1: 1, 2: 1, 3: 2, 4: 3, 5: 12}[n]
+
+
+def d_order_antisymmetric(neg, fusion):
+    """Whether no x != y have both x . neg(y) and y . neg(x) among the
+    block bottoms x . neg(x), by plain loops."""
+    rng = range(len(neg))
+    d = {fusion[x][neg[x]] for x in rng}
+    return not any(fusion[x][neg[y]] in d and fusion[y][neg[x]] in d
+                   for x in rng for y in rng if x != y)
 
 
 def oracle_accepts(neg, fusion):
@@ -133,6 +146,21 @@ class TestOrderStep:
             assert bool(found) == oracle_accepts(neg, fusion), table
             accepted += bool(found)
         assert accepted == {1: 1, 2: 1, 3: 2, 4: 3, 5: 12}[n]
+
+
+class TestSize8:
+    def test_counts_digest_and_members(self):
+        # the corpus to the size cap, about 3 s
+        corpus = enumerate_up_to_iso(8)
+        assert corpus.counts == {**GOLDEN_COUNTS, 7: 4, 8: 9}
+        eights = [g for g in corpus.algebras if g.n == 8]
+        text = "".join(emit(g) for g in eights)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "e1adf3499a15f83affd833e376f72019836c835168532f97f91715fec4330bcf"
+        for i, g in enumerate(eights):
+            assert validate(g).ok
+            for h in eights[i + 1:]:
+                assert find_isomorphism(g, h) is None
 
 
 class TestBounds:
