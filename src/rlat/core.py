@@ -105,11 +105,15 @@ class FiniteInRL:
         if not _ids((one,)) <= carrier:
             raise ValueError("unit out of range")
         self.one = one
-        self.neg = list(neg)
+        try:
+            self.neg = list(neg)
+            self.join = [list(row) for row in join]
+            self.fusion = [list(row) for row in fusion]
+        except TypeError:
+            raise ValueError("neg must be a sequence of ids and join and "
+                             "fusion sequences of rows") from None
         if len(self.neg) != n or not _ids(self.neg) <= carrier:
             raise ValueError("neg must map all %d elements into range" % n)
-        self.join = [list(row) for row in join]
-        self.fusion = [list(row) for row in fusion]
         for label, table in (("join", self.join), ("fusion", self.fusion)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError("%s table is not %dx%d" % (label, n, n))
@@ -244,9 +248,13 @@ def validate(alg):
     interpreter loops over rows, never over tuples, and searches cell by
     cell only the first row that differs, so the witness is the first
     failing tuple. Associativity is decided by O(n^2) bitmask checks and
-    distributivity follows from the other nine axioms; their O(n^3) row
-    scans run only to name the witness of a failure, so the report is the
-    one a plain lexicographic scan would give.
+    distributivity follows from the other nine axioms. When some axiom
+    fails, associativity's O(n^3) row scan runs to name its witness.
+    Distributivity's is named by testing each fusion row against the join
+    only at the join-irreducible elements, O(n |J|) per row, and scanning
+    in full only the first row that fails; when join is not a semilattice
+    the O(n^3) scan runs instead. The report is the one a plain
+    lexicographic scan would give.
     """
     n = alg.n
     jn, fu, ng = alg.join, alg.fusion, alg.neg
@@ -260,9 +268,9 @@ def validate(alg):
     # with commutativity, {y : x v y = y} is the lattice up-set of x
     comm = _first_difference(jn, map(list, zip(*jn)))
     idem = first_idempotence_failure(jn)
-    semilattice = (comm is None and idem is None
-                   and _is_semilattice(jn, alg.lat_up))
-    w = None if semilattice else _first_associativity_failure(jn)
+    join_ok = (comm is None and idem is None
+               and _is_semilattice(jn, alg.lat_up))
+    w = None if join_ok else _first_associativity_failure(jn)
     rep.add("join commutative", comm is None, comm)
     rep.add("join associative", w is None, w)
     rep.add("join idempotent", idem is None, idem)
@@ -311,6 +319,8 @@ def validate(alg):
         # keeps every join: x.(y v z) <= u iff y v z <= neg(x.neg u) iff
         # x.y <= u and x.z <= u iff x.y v x.z <= u, for every u.
         w = None
+    elif join_ok:
+        w = _first_join_failure(fu, jn, alg.lat_dn)
     else:
         # the one algebra of size 1 passes every axiom, so never gets here
         w = _first_distributivity_failure(fu, jn, rng, rng)
@@ -332,33 +342,61 @@ def _first_difference(rows, others):
     return None
 
 
-def _first_flat_difference(rows, others, xs, ys):
-    """_first_difference over rows that flatten ys x ys per x in xs, as the
+def _first_flat_difference(rows, others, xs, ys, zs):
+    """_first_difference over rows that flatten ys x zs per x in xs, as the
     triple (x, y, z)."""
     w = _first_difference(rows, others)
-    return w and (xs[w[0]], *map(ys.__getitem__, divmod(w[1], len(ys))))
+    return w and (xs[w[0]], ys[w[1] // len(zs)], zs[w[1] % len(zs)])
 
 
-def _first_distributivity_failure(op, jn, xs, ys):
-    """The first (x, y, z) over xs, ys, ys, in scan order, with
-    op[x][jn[y][z]] != jn[op[x][y]][op[x][z]], or None.
+def _first_distributivity_failure(op, jn, xs, ys, zs=None):
+    """The first (x, y, z) over xs, ys, zs (zs defaults to ys), in scan
+    order, with op[x][jn[y][z]] != jn[op[x][y]][op[x][z]], or None.
 
     Row x over (y, z): op[x] read at the joins jn[y][z] against the rows
     jn[op[x][y]] read at op[x][z], each read in C. An itemgetter of one
-    index returns an item, not a tuple, so one y is read as two.
+    index returns an item, not a tuple, so one y or z is read as two.
     """
-    if not ys:
+    ys, zs = [(*s, *s) if len(s) == 1 else s
+              for s in (ys, ys if zs is None else zs)]
+    if not ys or not zs:
         return None
-    if len(ys) == 1:
-        ys = (*ys, *ys)
-    read_ys = itemgetter(*ys)
-    read_jn = itemgetter(*chain.from_iterable(map(read_ys, read_ys(jn))))
+    read_ys, read_zs = itemgetter(*ys), itemgetter(*zs)
+    read_jn = itemgetter(*chain.from_iterable(map(read_zs, read_ys(jn))))
     rows = list(map(op.__getitem__, xs))
     return _first_flat_difference(
         map(read_jn, rows),
         (tuple(chain.from_iterable(
-            map(itemgetter(*row), map(jn.__getitem__, row))))
-         for row in map(read_ys, rows)), xs, ys)
+            map(itemgetter(*read_zs(row)), map(jn.__getitem__, read_ys(row)))))
+         for row in rows), xs, ys, zs)
+
+
+def _join_irreducibles(dn):
+    """The ids z whose strict down-set is empty or the down-set of one
+    element, for down-set masks dn: the minimal elements and those with one
+    lower cover. In a finite join semilattice every element is the join of
+    these below it, since one with two lower covers is their join."""
+    principal = {0, *dn}
+    return [z for z, d in enumerate(dn) if d & ~(1 << z) in principal]
+
+
+def _first_join_failure(op, jn, dn):
+    """_first_distributivity_failure over the whole carrier, for jn a
+    semilattice with down-set masks dn: each row is tested at the
+    join-irreducible z only, and only the first row that fails is scanned.
+    """
+    # Row x keeps every join iff op[x][y v g] = op[x][y] v op[x][g] for all
+    # y and every join-irreducible g. Only if is plain. If: write z as the
+    # join g1 v ... v gk of join-irreducibles and induct on k; k = 1 is the
+    # test. For k > 1 put z' = g1 v ... v g(k-1); with join associative,
+    #   op[x][y v z] = op[x][(y v z') v gk] = op[x][y v z'] v op[x][gk]
+    #     (the test at y v z', gk)
+    #   = op[x][y] v op[x][z'] v op[x][gk]   (induction, at y, z')
+    #   = op[x][y] v op[x][z]                (the test at z', gk).
+    rng = range(len(jn))
+    gens = _join_irreducibles(dn)
+    w = _first_distributivity_failure(op, jn, rng, rng, gens)
+    return w and _first_distributivity_failure(op, jn, rng[w[0]:], rng)
 
 
 def _first_associativity_failure(t):
@@ -372,7 +410,7 @@ def _first_associativity_failure(t):
     rng = range(len(t))
     return _first_flat_difference(
         (tuple(chain.from_iterable(map(t.__getitem__, row))) for row in t),
-        map(read_t, t), rng, rng)
+        map(read_t, t), rng, rng, rng)
 
 
 class Rejected(ValueError):

@@ -8,7 +8,8 @@ from collections import namedtuple
 from itertools import repeat
 from operator import or_
 
-from .core import Report, _first_distributivity_failure, bits, check_member
+from .core import (Report, _first_join_failure, _join_irreducibles, bits,
+                   check_member, mask_of)
 
 
 class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness",
@@ -30,23 +31,21 @@ def is_lattice_distributive(alg):
 
     A finite lattice is distributive exactly when J(x v y) = J(x) | J(y)
     for all x, y, where J(x) is the set of join-irreducibles below x: then
-    x |-> J(x) embeds it in a lattice of sets. An element is
-    join-irreducible when its strict down-set is the down-set of one
-    element, its one lower cover. This is decided by O(n^2) mask operations;
-    the triple scan runs only to name the first failing (x, y, z).
+    x |-> J(x) embeds it in a lattice of sets. The bottom, counted among
+    them, is in every J(x) and leaves this unchanged. This is decided by
+    O(n^2) mask operations; on a failure the first failing meet row is
+    found by testing it at the join-irreducibles only, and only that row
+    is scanned to name the first failing (x, y, z).
     """
     check_member(alg)
-    dn, jn, rng = alg.lat_dn, alg.join, range(alg.n)
-    principal = set(dn)
-    irreducible = sum(1 << x for x, d in enumerate(dn)
-                      if d & ~(1 << x) in principal)
+    dn, jn = alg.lat_dn, alg.join
+    irreducible = mask_of(_join_irreducibles(dn))
     below = [d & irreducible for d in dn]
     if all(list(map(below.__getitem__, row[x + 1:]))
            == list(map(or_, repeat(bx), below[x + 1:]))
            for x, (bx, row) in enumerate(zip(below, jn))):
         return PropertyVerdict(True)
-    return PropertyVerdict(False, _first_distributivity_failure(
-        alg.meet, jn, rng, rng))
+    return PropertyVerdict(False, _first_join_failure(alg.meet, jn, dn))
 
 
 def is_semilinear(alg):

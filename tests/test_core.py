@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -10,7 +11,8 @@ from oracles import (meet_infimum_witness, naive_isomorphic,
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
                   find_isomorphism, subalgebra_generated, validate)
 from rlat.core import (_fingerprints, _first_distributivity_failure,
-                       _is_semilattice)
+                       _first_join_failure, _is_semilattice,
+                       _join_irreducibles)
 from rlat.generate import boolean_algebra, build_an
 
 
@@ -77,6 +79,13 @@ class TestConstruction:
                 FiniteInRL(["a"], one, neg, join, fusion)
         with pytest.raises(ValueError, match="nonempty tokens"):
             FiniteInRL([["a"]], 0, [0], [[0]], [[0]])
+
+    def test_rejects_non_iterable_neg_and_tables(self):
+        for neg, join, fusion in ((5, [[0]], [[0]]),
+                                  ([0], [0], [[0]]),
+                                  ([0], [[0]], 5)):
+            with pytest.raises(ValueError, match="must be a sequence"):
+                FiniteInRL(["a"], 0, neg, join, fusion)
 
     def test_element_lookup(self, a1):
         assert a1.names[a1.element("a")] == "a"
@@ -227,6 +236,64 @@ class TestValidateAgainstScan:
                 alg.one, alg.neg, tables["join"], tables["fusion"]), \
                 (label, x, y, v)
 
+    def test_fusion_mutants_in_late_rows(self):
+        # join is untouched, so the first failing fusion row is found at the
+        # join-irreducibles (7 of 64) and only that row is scanned in full
+        alg = boolean_algebra(6)
+        rng = random.Random(20)
+        rows = set()
+        for i in range(6):
+            # the symmetric ones change rows x and y, both >= 32
+            x, y = rng.randrange(32, 64), rng.randrange(32 * (i % 2), 64)
+            v = rng.randrange(64)
+            fusion = [row[:] for row in alg.fusion]
+            fusion[x][y] = v
+            if i % 2:
+                fusion[y][x] = v
+            bad = FiniteInRL(alg.names, alg.one, alg.neg, alg.join, fusion)
+            checks = validate(bad).checks
+            assert checks == scan_axioms(alg.one, alg.neg, alg.join,
+                                         fusion), (x, y, v)
+            w = checks[-1][2]
+            rows.add(w and w[0])
+        assert min(rows) >= 32
+
+    def test_every_fusion_on_a_v_shaped_join(self):
+        # a v b = t with no bottom: the minimal a and b are join-irreducible
+        join = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+        assert _join_irreducibles(FiniteInRL(
+            "abt", 2, [1, 0, 2], join, join).lat_dn) == [0, 1]
+        failed = 0
+        for cells in itertools.product(range(3), repeat=9):
+            fusion = [list(cells[i:i + 3]) for i in (0, 3, 6)]
+            alg = FiniteInRL("abt", 2, [1, 0, 2], join, fusion)
+            checks = validate(alg).checks
+            assert checks == scan_axioms(2, [1, 0, 2], join, fusion), fusion
+            failed += not checks[-1][1]
+        assert failed == 18954
+
+    def test_random_fusions_on_a_chain_join(self):
+        # on a chain every element is join-irreducible
+        n = 6
+        join = [[max(x, y) for y in range(n)] for x in range(n)]
+        neg = [n - 1 - x for x in range(n)]
+        names = [str(x) for x in range(n)]
+        assert _join_irreducibles(
+            FiniteInRL(names, 0, neg, join, join).lat_dn) == list(range(n))
+        rng = random.Random(20)
+        failed = 0
+        for i in range(200):
+            # half of them the meet with one cell changed
+            fusion = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            if i % 2:
+                fusion = [[min(x, y) for y in range(n)] for x in range(n)]
+                fusion[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            alg = FiniteInRL(names, n - 1, neg, join, fusion)
+            checks = validate(alg).checks
+            assert checks == scan_axioms(n - 1, neg, join, fusion), fusion
+            failed += not checks[-1][1]
+        assert 0 < failed < 200
+
     def test_fast_path_accepts_members(self, a1, corpus6):
         # a member never falls back to the O(n^3) associativity scan
         for alg in [a1, build_an(3)] + list(corpus6.algebras):
@@ -234,9 +301,11 @@ class TestValidateAgainstScan:
             assert _is_semilattice(alg.fusion, alg.mon_dn)
 
 
-def scan_distributivity(op, jn, xs, ys):
-    """The first (x, y, z) over xs, ys, ys by a plain triple loop."""
-    return next(((x, y, z) for x in xs for y in ys for z in ys
+def scan_distributivity(op, jn, xs, ys, zs=None):
+    """The first (x, y, z) over xs, ys, zs (zs defaults to ys) by a plain
+    triple loop."""
+    zs = ys if zs is None else zs
+    return next(((x, y, z) for x in xs for y in ys for z in zs
                  if op[x][jn[y][z]] != jn[op[x][y]][op[x][z]]), None)
 
 
@@ -248,7 +317,7 @@ class TestDistributivityScanOnSubsets:
     def test_seeded_mutants(self, a1, which):
         alg = {"a1": a1, "an2": build_an(2),
                "bool3": boolean_algebra(3)}[which]
-        rng = random.Random(18)
+        rng, zs_rng = random.Random(18), random.Random(19)
         n = alg.n
         ids = list(range(n))
         witnesses = set()
@@ -272,8 +341,67 @@ class TestDistributivityScanOnSubsets:
                         assert _first_distributivity_failure(
                             op, bad.join, xs, ys) == want, (label, xs, ys)
                         witnesses.add(want is not None and len(ys))
+                        # zs apart from ys
+                        zs = zs_rng.choice(subsets)
+                        want = scan_distributivity(op, bad.join, xs, ys, zs)
+                        assert _first_distributivity_failure(
+                            op, bad.join, xs, ys, zs) == want, (xs, ys, zs)
+                        witnesses.add(want is not None and -len(zs))
         # failures were found on whole ranges, subsets and one-element ys
-        assert {n, 1} < witnesses
+        # and zs
+        assert {n, 1, -n, -1} < witnesses
+
+    @pytest.mark.parametrize("which", ["a1", "an2", "bool3"])
+    def test_join_irreducible_rows(self, a1, which):
+        # on a semilattice join, testing each row at the join-irreducibles
+        # and then scanning the first failing row names what the triple
+        # loop over the whole carrier names
+        alg = {"a1": a1, "an2": build_an(2),
+               "bool3": boolean_algebra(3)}[which]
+        rng = random.Random(20)
+        n, jn, rows = alg.n, alg.join, set()
+        for _ in range(60):
+            op = [row[:] for row in rng.choice((alg.fusion, alg.meet))]
+            for _ in range(rng.randrange(3)):
+                op[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            want = scan_distributivity(op, jn, range(n), range(n))
+            assert _first_join_failure(op, jn, alg.lat_dn) == want, op
+            rows.add(want and want[0])
+        # members pass, and failures were named in several rows
+        assert None in rows and len(rows) > 4
+
+
+def plain_join_irreducibles(jn):
+    """The z that are not the join of the elements strictly below them,
+    the minimal elements among them, by plain loops."""
+    out = []
+    for z in range(len(jn)):
+        below = [y for y in range(len(jn)) if jn[y][z] == z and y != z]
+        v = below[0] if below else None
+        for y in below[1:]:
+            v = jn[v][y]
+        if v != z:
+            out.append(z)
+    return out
+
+
+class TestJoinIrreducibles:
+    def test_match_plain_loops(self, corpus7):
+        algs = (corpus7 + [build_an(k) for k in range(5)]
+                + [boolean_algebra(k) for k in range(6)])
+        for alg in algs:
+            gens = _join_irreducibles(alg.lat_dn)
+            assert gens == plain_join_irreducibles(alg.join), alg
+            # every element is the join of the generators below it
+            for z in range(alg.n):
+                below = [g for g in gens if alg.leq(g, z)]
+                assert functools.reduce(
+                    lambda u, v: alg.join[u][v], below) == z, (alg, z)
+
+    def test_counts_on_the_families(self):
+        for k in range(7):
+            assert len(_join_irreducibles(boolean_algebra(k).lat_dn)) == k + 1
+        assert len(_join_irreducibles(build_an(16).lat_dn)) == 37
 
 
 class TestDerived:
