@@ -20,10 +20,9 @@ _LAZY = {name: module for module, names in (
     ("gluing", "DecompositionTree GluedAlgebra GluingSpec Leaf Node "
                "build_spec glue validate_gluing"),
     ("partition", "BooleanBlock Partition block join_incompatibility_witness "
-                  "partition verify_partition"),
-    ("props", "PropertyVerdict elementary_properties "
-              "is_distributive_semilattice is_lattice_distributive "
-              "is_semilinear subalgebra_generated"),
+                  "partition"),
+    ("props", "PropertyVerdict is_distributive_semilattice "
+              "is_lattice_distributive is_semilinear subalgebra_generated"),
     ("search", "Corpus enumerate_up_to_iso")) for name in names.split()}
 
 __all__ = sorted(_LAZY)

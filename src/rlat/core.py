@@ -198,10 +198,6 @@ class FiniteInRL:
     def mon_covers(self):
         return _covers(self.mon_up)
 
-    def block_bounds(self, x):
-        """Bottom and top of the Boolean interval containing x."""
-        return self.fusion[x][self.neg[x]], self.join[x][self.neg[x]]
-
 
 def _eq_masks(rows, probes):
     """Row x: the mask of {y : rows[x][y] == probes[x][y]}."""
@@ -323,7 +319,7 @@ def validate(alg):
         w = _first_join_failure(fu, jn, alg.lat_dn)
     else:
         # the one algebra of size 1 passes every axiom, so never gets here
-        w = _first_distributivity_failure(fu, jn, rng, rng)
+        w = _first_distributivity_failure(fu, jn, rng)
     rep.add("fusion distributes over join", w is None, w)
     return rep
 
@@ -349,26 +345,23 @@ def _first_flat_difference(rows, others, xs, ys, zs):
     return w and (xs[w[0]], ys[w[1] // len(zs)], zs[w[1] % len(zs)])
 
 
-def _first_distributivity_failure(op, jn, xs, ys, zs=None):
-    """The first (x, y, z) over xs, ys, zs (zs defaults to ys), in scan
+def _first_distributivity_failure(op, jn, zs, start=0):
+    """The first (x, y, z) with x >= start, y any id and z in zs, in scan
     order, with op[x][jn[y][z]] != jn[op[x][y]][op[x][z]], or None.
 
     Row x over (y, z): op[x] read at the joins jn[y][z] against the rows
-    jn[op[x][y]] read at op[x][z], each read in C. An itemgetter of one
-    index returns an item, not a tuple, so one y or z is read as two.
+    jn[op[x][y]] read at op[x][z], each read in C. zs holds two or more
+    ids, so each itemgetter of zs returns a tuple.
     """
-    ys, zs = [(*s, *s) if len(s) == 1 else s
-              for s in (ys, ys if zs is None else zs)]
-    if not ys or not zs:
-        return None
-    read_ys, read_zs = itemgetter(*ys), itemgetter(*zs)
-    read_jn = itemgetter(*chain.from_iterable(map(read_zs, read_ys(jn))))
-    rows = list(map(op.__getitem__, xs))
+    read_zs = itemgetter(*zs)
+    read_jn = itemgetter(*chain.from_iterable(map(read_zs, jn)))
+    rows = op[start:]
+    rng = range(len(jn))
     return _first_flat_difference(
         map(read_jn, rows),
         (tuple(chain.from_iterable(
-            map(itemgetter(*read_zs(row)), map(jn.__getitem__, read_ys(row)))))
-         for row in rows), xs, ys, zs)
+            map(itemgetter(*read_zs(row)), map(jn.__getitem__, row))))
+         for row in rows), rng[start:], rng, zs)
 
 
 def _join_irreducibles(dn):
@@ -393,10 +386,9 @@ def _first_join_failure(op, jn, dn):
     #     (the test at y v z', gk)
     #   = op[x][y] v op[x][z'] v op[x][gk]   (induction, at y, z')
     #   = op[x][y] v op[x][z]                (the test at z', gk).
-    rng = range(len(jn))
-    gens = _join_irreducibles(dn)
-    w = _first_distributivity_failure(op, jn, rng, rng, gens)
-    return w and _first_distributivity_failure(op, jn, rng[w[0]:], rng)
+    # a semilattice of two or more elements has two or more join-irreducibles
+    w = _first_distributivity_failure(op, jn, _join_irreducibles(dn))
+    return w and _first_distributivity_failure(op, jn, range(len(jn)), w[0])
 
 
 def _first_associativity_failure(t):

@@ -10,8 +10,10 @@ from .core import FiniteInRL
 from .gluing import Leaf, Node, _glue_tree
 
 # The largest carrier the generators build; memory bounds it, not time. On a
-# 2-CPU machine with Python 3.11, `rlat gen an 254` (n = 1022) took 0.84 s at
-# 71 MB peak RSS, `gen bool 10` 0.82 s at 111 MB and `gen bool 11` 433 MB.
+# 2-CPU machine with Python 3.11, each in a fresh process, `rlat gen an 254`
+# (n = 1022) took 0.6 s at 70 MB peak RSS (47 MB to build the algebra
+# without writing it), `gen bool 10` 0.5 s at 110 MB (91 MB) and
+# `gen bool 11`, with the cap raised, 1.9 s at 432 MB.
 SIZE_CAP = 1024
 
 

@@ -1,15 +1,14 @@
 """Decision procedures: distributive semilattice, distributive lattice,
 semilinearity. Each verdict carries the least counterexample when it fails.
-Also the elementary consequences of the axioms, checked exhaustively, and
-the subalgebra generated by a set of elements.
+Also the subalgebra generated by a set of elements.
 """
 
 from collections import namedtuple
 from itertools import repeat
 from operator import or_
 
-from .core import (Report, _first_join_failure, _join_irreducibles, bits,
-                   check_member, mask_of)
+from .core import (_first_join_failure, _join_irreducibles, check_member,
+                   mask_of)
 
 
 class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness",
@@ -57,50 +56,6 @@ def is_semilinear(alg):
     w = next(((x, y) for x in rng for y in rng
               if jn[mt[imp[x][y]][one]][mt[imp[y][x]][one]] != one), None)
     return PropertyVerdict(w is None, w)
-
-
-def elementary_properties(alg):
-    """The seven elementary consequences, checked exhaustively."""
-    n = alg.n
-    rep = Report()
-    mt, jn, fu, ng = alg.meet, alg.join, alg.fusion, alg.neg
-
-    up, dn = alg.lat_up, alg.lat_dn
-    w = next(((x, y) for x in range(n) for y in bits(up[x])
-              if not (up[ng[y]] >> ng[x]) & 1), None)
-    rep.add("negation antitone", w is None, w)
-
-    def infimum(x, y):
-        # meet(x, y) is a common lower bound above every common lower bound
-        common, m = dn[x] & dn[y], mt[x][y]
-        return (common >> m) & 1 and not common & ~dn[m]
-
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if not infimum(x, y)), None)
-    rep.add("meet is the lattice infimum", w is None, w)
-
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if ng[jn[x][y]] != mt[ng[x]][ng[y]]
-              or ng[mt[x][y]] != jn[ng[x]][ng[y]]), None)
-    rep.add("De Morgan", w is None, w)
-
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if not (alg.leq(mt[x][y], fu[x][y]) and alg.leq(fu[x][y], jn[x][y]))),
-             None)
-    rep.add("fusion between meet and join", w is None, w)
-
-    pos = list(bits(alg.pos_cone))
-    w = next(((x, y) for x in pos for y in pos if fu[x][y] != jn[x][y]), None)
-    rep.add("fusion is join on the positive cone", w is None, w)
-
-    neg_els = list(bits(alg.neg_cone))
-    w = next(((x, y) for x in neg_els for y in neg_els if fu[x][y] != mt[x][y]), None)
-    rep.add("fusion is meet on the negative cone", w is None, w)
-
-    consts_ok = (alg.zero == ng[alg.one] and ng[alg.zero] == alg.one
-                 and alg.leq(alg.zero, alg.one))
-    rep.add("constants 0 = neg 1 <= 1 = neg 0", consts_ok, (alg.one,))
-    return rep
 
 
 def subalgebra_generated(alg, seeds):

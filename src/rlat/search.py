@@ -145,8 +145,8 @@ def _orders_for_fusion(n, names, neg, fusion, found):
     # and the elements below 0 are exactly the block bottoms x . neg(x):
     # if z <= 0 then 1 <= neg(z), so z <= z . neg(z) <= 0, and
     # z . neg(z) . neg(z) = z . neg(z) <= 0 gives z . neg(z) <= z. So the
-    # down-set of 0 is D = {x . neg(x)}; verify_partition's "skeleton is
-    # the down-set of zero" checks this on the corpus.
+    # down-set of 0 is D = {x . neg(x)}; the clause "skeleton is the
+    # down-set of zero" of tests/theorems.py checks this on the corpus.
     d = set(map(getitem, fusion, neg))
     pow2 = [1 << y for y in range(n)]
     up = [sum(compress(pow2, map(d.__contains__, map(row.__getitem__, neg))))

@@ -9,17 +9,16 @@ import time
 
 from oracles import (naive_congruences, naive_isomorphic,
                      semilattice_distributivity_witness)
-from rlat import (FiniteInRL, elementary_properties, find_isomorphism,
-                  subalgebra_generated, validate)
+from rlat import FiniteInRL, find_isomorphism, subalgebra_generated, validate
 from rlat.congruence import congruence_lattice
 from rlat.core import bits
 from rlat.decompose import decompose, find_atoms, reassemble, split
 from rlat.fileformat import emit, emit_gluing, load_algebra, parse, parse_gluing
 from rlat.generate import build_an
 from rlat.gluing import glue
-from rlat.partition import (join_incompatibility_witness, partition,
-                            verify_partition)
+from rlat.partition import join_incompatibility_witness, partition
 from rlat.props import is_lattice_distributive, is_semilinear
+from theorems import block_bounds, elementary_properties, verify_partition
 
 
 def _verdict(num, label, failures):
@@ -235,10 +234,10 @@ def _lemma_failures(alg):
         if pointed != alg.leq(a, alg.zero):
             out.append("pointed subuniverse at a=%s" % alg.names[a])
     for x in rng:
-        bx, tx = alg.block_bounds(x)
+        bx, tx = block_bounds(alg, x)
         for y in rng:
-            by, ty = alg.block_bounds(y)
-            bz, tz = alg.block_bounds(fu[x][y])
+            by, ty = block_bounds(alg, y)
+            bz, tz = block_bounds(alg, fu[x][y])
             if fu[bx][by] != bz or fu[tx][ty] != tz:
                 out.append("block bounds at x=%s y=%s"
                            % (alg.names[x], alg.names[y]))

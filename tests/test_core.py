@@ -8,12 +8,13 @@ import pytest
 
 from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
-from rlat import (AXIOM_NAMES, FiniteInRL, Report, elementary_properties,
-                  find_isomorphism, subalgebra_generated, validate)
+from rlat import (AXIOM_NAMES, FiniteInRL, Report, find_isomorphism,
+                  subalgebra_generated, validate)
 from rlat.core import (_fingerprints, _first_distributivity_failure,
                        _first_join_failure, _is_semilattice,
                        _join_irreducibles)
 from rlat.generate import boolean_algebra, build_an
+from theorems import block_bounds, elementary_properties, scan_distributivity
 
 
 def two_chain():
@@ -301,30 +302,23 @@ class TestValidateAgainstScan:
             assert _is_semilattice(alg.fusion, alg.mon_dn)
 
 
-def scan_distributivity(op, jn, xs, ys, zs=None):
-    """The first (x, y, z) over xs, ys, zs (zs defaults to ys) by a plain
-    triple loop."""
-    zs = ys if zs is None else zs
-    return next(((x, y, z) for x in xs for y in ys for z in zs
-                 if op[x][jn[y][z]] != jn[op[x][y]][op[x][z]]), None)
-
-
 class TestDistributivityScanOnSubsets:
-    """The row scan over index subsets names what the triple loop names,
-    on ranges and on unsorted, one-element and empty id sequences."""
+    """The row scan names what the triple loop names on the shapes its
+    callers pass: the rows from any start, every y, and as zs the whole
+    carrier, the join-irreducibles or a sorted subset of two or more ids."""
 
     @pytest.mark.parametrize("which", ["a1", "an2", "bool3"])
     def test_seeded_mutants(self, a1, which):
         alg = {"a1": a1, "an2": build_an(2),
                "bool3": boolean_algebra(3)}[which]
-        rng, zs_rng = random.Random(18), random.Random(19)
+        rng = random.Random(18)
         n = alg.n
-        ids = list(range(n))
-        witnesses = set()
+        gens = _join_irreducibles(alg.lat_dn)
+        found = set()
         for _ in range(40):
             label = rng.choice(("join", "fusion"))
             # a third of the cells on the diagonal, where a join mutant
-            # can fail at (x, i, i), on the one-element ys [i]
+            # can fail at (x, i, i)
             i = rng.randrange(n)
             j = i if rng.randrange(3) == 0 else rng.randrange(n)
             t = [row[:] for row in getattr(alg, label)]
@@ -332,24 +326,20 @@ class TestDistributivityScanOnSubsets:
             tables = {"join": alg.join, "fusion": alg.fusion, label: t}
             bad = FiniteInRL(alg.names, alg.one, alg.neg, tables["join"],
                              tables["fusion"])
-            subsets = [range(n), rng.sample(ids, rng.randrange(2, n)),
-                       tuple(rng.sample(ids, 3)), [i], ()]
+            shapes = {"range": range(n), "irreducibles": gens,
+                      "subset": sorted(rng.sample(range(n),
+                                                  rng.randrange(2, n)))}
             for op in (bad.fusion, bad.meet):
-                for xs in subsets:
-                    for ys in subsets:
-                        want = scan_distributivity(op, bad.join, xs, ys)
+                for start in (0, rng.randrange(n)):
+                    for shape, zs in shapes.items():
+                        want = scan_distributivity(
+                            op, bad.join, range(start, n), range(n), zs)
                         assert _first_distributivity_failure(
-                            op, bad.join, xs, ys) == want, (label, xs, ys)
-                        witnesses.add(want is not None and len(ys))
-                        # zs apart from ys
-                        zs = zs_rng.choice(subsets)
-                        want = scan_distributivity(op, bad.join, xs, ys, zs)
-                        assert _first_distributivity_failure(
-                            op, bad.join, xs, ys, zs) == want, (xs, ys, zs)
-                        witnesses.add(want is not None and -len(zs))
-        # failures were found on whole ranges, subsets and one-element ys
-        # and zs
-        assert {n, 1, -n, -1} < witnesses
+                            op, bad.join, zs, start) == want, (label, zs)
+                        if want:
+                            found.add((shape, start > 0))
+        # failures were found for each shape of zs, from row 0 and later
+        assert len(found) == 6
 
     @pytest.mark.parametrize("which", ["a1", "an2", "bool3"])
     def test_join_irreducible_rows(self, a1, which):
@@ -458,9 +448,9 @@ class TestDerived:
         assert (len(a1.lat_covers), len(a1.mon_covers)) == (13, 12)
 
     def test_block_bounds(self, a1):
-        lo, hi = a1.block_bounds(a1.element("a"))
+        lo, hi = block_bounds(a1, a1.element("a"))
         assert (a1.names[lo], a1.names[hi]) == ("bot", "top")
-        lo, hi = a1.block_bounds(a1.element("0"))
+        lo, hi = block_bounds(a1, a1.element("0"))
         assert (a1.names[lo], a1.names[hi]) == ("0", "1")
 
 

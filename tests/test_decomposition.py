@@ -107,10 +107,17 @@ class TestDecompose:
             for leaf in decompose(alg).leaves():
                 assert len(partition(leaf.algebra).blocks) == 1
 
-    def test_leaf_count_matches_block_count(self, corpus6):
-        for alg in corpus6.algebras:
-            tree = decompose(alg)
-            assert len(list(tree.leaves())) == len(partition(alg).blocks)
+    def test_leaves_are_the_blocks(self, a1, corpus6):
+        # each leaf holds the elements of one Boolean block, by name, and
+        # each block is one leaf
+        algebras = ([a1] + list(corpus6.algebras)
+                    + [build_an(k) for k in range(6)] + [boolean_algebra(3)])
+        for alg in algebras:
+            leaves = [frozenset(l.algebra.names)
+                      for l in decompose(alg).leaves()]
+            blocks = {frozenset(alg.names[x] for x in b.elements)
+                      for b in partition(alg).blocks}
+            assert len(leaves) == len(blocks) and set(leaves) == blocks
 
     def test_one_algebra_built_per_leaf(self, a1, monkeypatch):
         built = []
