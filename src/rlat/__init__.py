@@ -17,8 +17,8 @@ _LAZY = {name: module for module, names in (
     ("fileformat", "GluingSpecFile ParseError dot_export emit emit_gluing "
                    "load_algebra parse parse_gluing write_tree"),
     ("generate", "boolean_algebra build_an"),
-    ("gluing", "DecompositionTree GluedAlgebra GluingSpec Leaf Node "
-               "build_spec glue validate_gluing"),
+    ("gluing", "DecompositionTree GluingSpec Leaf Node build_spec glue "
+               "validate_gluing"),
     ("partition", "BooleanBlock Partition block join_incompatibility_witness "
                   "partition"),
     ("props", "PropertyVerdict is_distributive_semilattice "

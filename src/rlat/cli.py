@@ -83,7 +83,7 @@ def _cmd_glue(args):
                 print("error: %s operand %s is not a member" % (role, path),
                       file=sys.stderr)
         return 1
-    sys.stdout.write(emit(glued.result))
+    sys.stdout.write(emit(glued))
     return 0
 
 

@@ -9,7 +9,8 @@ therefore order-anti-isomorphic to the negative cone.
 from collections import namedtuple
 from itertools import chain
 
-from .core import FiniteInRL, _first_ne, bits, check_member, mask_of
+from .core import (FiniteInRL, _first_ne, bits, check_member, element_id,
+                   is_id, mask_of)
 
 
 class NegConeFilter(namedtuple("NegConeFilter", "elements generator")):
@@ -27,9 +28,7 @@ class Congruence(namedtuple("Congruence", "relation classes one_class")):
         return self.class_of(x) == self.class_of(y)
 
     def class_of(self, x):
-        if not 0 <= x < len(self.relation):
-            raise ValueError("element out of range")
-        return tuple(bits(self.relation[x]))
+        return tuple(bits(self.relation[element_id(x, len(self.relation))]))
 
 
 class ConLattice(namedtuple("ConLattice", "congruences generators refines")):
@@ -52,8 +51,7 @@ def congruence_from_filter(alg, f):
     negative cone.
     """
     check_member(alg)
-    if not (f.generator in range(alg.n)
-            and (alg.neg_cone >> f.generator) & 1):
+    if not alg.neg_cone >> element_id(f.generator, alg.n) & 1:
         raise ValueError("filter generator %d is not in the negative cone"
                          % f.generator)
     return _kernel(alg, f.generator)
@@ -106,7 +104,7 @@ def quotient(alg, theta):
         if not cls:
             raise ValueError("class %d is empty" % i)
         for x in cls:
-            if x not in range(alg.n) or cls_of[x] is not None:
+            if not is_id(x, alg.n) or cls_of[x] is not None:
                 raise ValueError("class %d holds %r, outside the carrier "
                                  "or twice" % (i, x))
             cls_of[x] = i

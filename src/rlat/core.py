@@ -75,6 +75,20 @@ AXIOM_NAMES = (
 )
 
 
+def is_id(x, ids):
+    """Whether x is an element id among ids (the ids, or n for range(n)):
+    an int in them, bools included, never a float or a name."""
+    return isinstance(x, int) and x in (
+        range(ids) if isinstance(ids, int) else ids)
+
+
+def element_id(x, ids):
+    """x, if is_id(x, ids); raises ValueError naming x otherwise."""
+    if not is_id(x, ids):
+        raise ValueError("no element has id %r" % (x,))
+    return x
+
+
 def _ids(ids):
     # the set of the ids; an unhashable id, such as a list, is no int
     try:
@@ -162,7 +176,7 @@ class FiniteInRL:
     @cached_property
     def mon_up(self):
         # row x: elements above x in the monoidal order (x.y = x)
-        return _absorbed_masks(self.fusion)
+        return _eq_masks(self.fusion, map(repeat, range(self.n)))
 
     @cached_property
     def mon_dn(self):
@@ -204,11 +218,6 @@ def _eq_masks(rows, probes):
     pow2 = [1 << y for y in range(len(rows))]
     return tuple(sum(compress(pow2, map(eq, row, probe)))
                  for row, probe in zip(rows, probes))
-
-
-def _absorbed_masks(table):
-    """Row x: the mask of {y : x op y = x}, the up-set of x when op is a meet."""
-    return _eq_masks(table, map(repeat, range(len(table))))
 
 
 def _bit_strings(masks, n):
@@ -265,7 +274,7 @@ def validate(alg):
     comm = _first_difference(jn, map(list, zip(*jn)))
     idem = first_idempotence_failure(jn)
     join_ok = (comm is None and idem is None
-               and _is_semilattice(jn, alg.lat_up))
+               and _is_mask_homomorphism(jn, alg.lat_up, and_))
     w = None if join_ok else _first_associativity_failure(jn)
     rep.add("join commutative", comm is None, comm)
     rep.add("join associative", w is None, w)
@@ -275,7 +284,7 @@ def validate(alg):
     comm = _first_difference(fu, map(list, zip(*fu)))
     idem = first_idempotence_failure(fu)
     semilattice = (comm is None and idem is None
-                   and _is_semilattice(fu, alg.mon_dn))
+                   and _is_mask_homomorphism(fu, alg.mon_dn, and_))
     w = None if semilattice else _first_associativity_failure(fu)
     rep.add("fusion commutative", comm is None, comm)
     rep.add("fusion associative", w is None, w)
@@ -426,17 +435,18 @@ def check_member(alg, label="algebra"):
                        rep, alg)
 
 
-def _is_semilattice(table, up):
-    """Whether a commutative idempotent table is associative, in O(n^2).
+def _is_mask_homomorphism(table, masks, op):
+    """Whether masks[x t y] == op(masks[x], masks[y]) for all x < y (by
+    index), x t y read from the commutative table t, in O(n^2).
 
-    up[x] is the mask of {y : x op y = y}. The table is associative exactly
-    when x op y is the least upper bound in the relation up describes, that
-    is up[x op y] == up[x] & up[y] for all x <= y (by index): this makes the
-    relation a partial order, and least upper bounds are associative.
+    With op = and_ and masks[x] the mask of {y : x t y = y}, this decides
+    whether a commutative idempotent table is associative: x t y is then
+    the least upper bound in the relation the masks describe, which makes
+    it a partial order, and least upper bounds are associative.
     """
-    return all(list(map(up.__getitem__, row[x + 1:]))
-               == list(map(and_, repeat(ux), up[x + 1:]))
-               for x, (ux, row) in enumerate(zip(up, table)))
+    return all(list(map(masks.__getitem__, row[x + 1:]))
+               == list(map(op, repeat(mx), masks[x + 1:]))
+               for x, (mx, row) in enumerate(zip(masks, table)))
 
 
 def _fingerprints(alg):

@@ -10,8 +10,8 @@ of a decomposition tree is the input on an id set, with its masks ANDed.
 
 from collections import namedtuple
 
-from .core import FiniteInRL, bits, check_member
-from .gluing import DecompositionTree, GluingSpec, Leaf, Node, _glue_tree
+from .core import FiniteInRL, bits, check_member, element_id
+from .gluing import GluingSpec, Leaf, Node, _glue_tree
 
 
 class SplitResult(namedtuple("SplitResult", "c c_star lower upper spec")):
@@ -41,13 +41,10 @@ def _restrict(alg, ids, one):
 
 
 def split(alg, c):
-    """Split a member at atom c; raises ValueError on a non-member, an id
-    out of range or a non-atom."""
+    """Split a member at atom c; raises ValueError on a non-member, a c that
+    is no element id or a non-atom."""
     check_member(alg)
-    if not 0 <= c < alg.n:
-        raise ValueError("no element has id %r: ids run from 0 to %d"
-                         % (c, alg.n - 1))
-    if c not in find_atoms(alg):
+    if element_id(c, alg.n) not in find_atoms(alg):
         raise ValueError("%s is not an atom of the positive cone"
                          % alg.names[c])
     c_star, lower_ids, upper_ids, a, b, phi = _split(

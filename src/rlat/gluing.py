@@ -8,17 +8,13 @@ algebra stacks B's monoidal order on top of A's; its unit and zero are B's.
 
 from collections import namedtuple
 
-from .core import FiniteInRL, Rejected, Report, check_member
+from .core import (FiniteInRL, Rejected, Report, check_member, element_id,
+                   is_id)
 
 
 class GluingSpec(namedtuple("GluingSpec", "lower upper a b phi")):
     """a is an element of lower and b of upper; phi maps lower ids to upper
     ids, on the domain {x | a mon<= x}."""
-    __slots__ = ()
-
-
-class GluedAlgebra(namedtuple("GluedAlgebra", "result provenance")):
-    """provenance maps a glued id to ("lower" | "upper", original id)."""
     __slots__ = ()
 
 
@@ -73,8 +69,9 @@ def validate_gluing(spec):
     ids_a, ids_b = set(A.index.values()), set(B.index.values())
     rep = Report()
 
-    in_range = (a in ids_a and b in ids_b
-                and all(x in ids_a and y in ids_b for x, y in phi.items()))
+    in_range = (is_id(a, ids_a) and is_id(b, ids_b)
+                and all(is_id(x, ids_a) and is_id(y, ids_b)
+                        for x, y in phi.items()))
     rep.add("spec references elements of both carriers", in_range)
     if not in_range:
         return rep
@@ -135,23 +132,23 @@ def build_spec(spec_file, lower, upper):
 
 
 def glue(spec):
-    """Construct the glued algebra, the one-node tree of its spec.
-
-    Raises ValueError on an id out of range, and Rejected (a ValueError) if
-    a factor is not a member or the spec fails validate_gluing; the result
-    is then a member by the gluing theorem and is not checked again.
-    """
+    """The glued algebra, the one-node tree of its spec, with the lower
+    factor's ids first and then the upper's, shifted by lower.n. Raises
+    ValueError on a, b or phi holding no element id, and Rejected (a
+    ValueError) if a factor is not a member or the spec fails
+    validate_gluing; the result is then a member by the gluing theorem and
+    is not checked again."""
     A, B = spec.lower, spec.upper
-    # ids to names; an id out of range stays an id and names no element
-    na, nb = dict(enumerate(A.names)), dict(enumerate(B.names))
+
+    def name(alg, x):
+        return alg.names[element_id(x, alg.n)]
+
     lower, upper = Leaf(A), Leaf(B)
-    node = Node(None, None, na.get(spec.a, spec.a), nb.get(spec.b, spec.b),
-                tuple((na.get(x, x), nb.get(y, y))
-                      for x, y in spec.phi.items()), lower, upper)
-    result = _glue_tree(node, {id(lower): "lower factor",
-                               id(upper): "upper factor"})
-    return GluedAlgebra(result, tuple([("lower", x) for x in range(A.n)]
-                                      + [("upper", y) for y in range(B.n)]))
+    node = Node(None, None, name(A, spec.a), name(B, spec.b),
+                tuple((name(A, x), name(B, y)) for x, y in spec.phi.items()),
+                lower, upper)
+    return _glue_tree(node, {id(lower): "lower factor",
+                             id(upper): "upper factor"})
 
 
 def _glue_tree(tree, labels):

@@ -10,7 +10,7 @@ from collections import namedtuple
 from itertools import compress, repeat, takewhile
 from operator import eq, getitem, itemgetter
 
-from .core import _first_ne, bits, check_member
+from .core import _first_ne, bits, check_member, element_id
 
 
 class BooleanBlock(namedtuple("BooleanBlock", "bottom top elements")):
@@ -30,12 +30,10 @@ def block(alg, x):
     The bottom is computed both as meet(x, neg x) and as fusion(x, neg x);
     a mismatch means the input tables are corrupted. The meet is the one
     cell neg(neg x v neg neg x) of De Morgan's formula, not a row of the
-    meet table. Raises ValueError on an id outside the carrier.
+    meet table. Raises ValueError if x is no element id.
     """
-    if x not in range(alg.n):
-        raise ValueError("no element has id %r" % (x,))
     ng = alg.neg
-    nx = ng[x]
+    nx = ng[element_id(x, alg.n)]
     bottom = ng[alg.join[nx][ng[nx]]]
     if alg.fusion[x][nx] != bottom:
         raise ValueError(

@@ -4,11 +4,10 @@ Also the subalgebra generated by a set of elements.
 """
 
 from collections import namedtuple
-from itertools import repeat
 from operator import or_
 
-from .core import (_first_join_failure, _join_irreducibles, check_member,
-                   mask_of)
+from .core import (_first_join_failure, _is_mask_homomorphism,
+                   _join_irreducibles, check_member, element_id, mask_of)
 
 
 class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness",
@@ -40,9 +39,7 @@ def is_lattice_distributive(alg):
     dn, jn = alg.lat_dn, alg.join
     irreducible = mask_of(_join_irreducibles(dn))
     below = [d & irreducible for d in dn]
-    if all(list(map(below.__getitem__, row[x + 1:]))
-           == list(map(or_, repeat(bx), below[x + 1:]))
-           for x, (bx, row) in enumerate(zip(below, jn))):
+    if _is_mask_homomorphism(jn, below, or_):
         return PropertyVerdict(True)
     return PropertyVerdict(False, _first_join_failure(alg.meet, jn, dn))
 
@@ -60,11 +57,8 @@ def is_semilinear(alg):
 
 def subalgebra_generated(alg, seeds):
     """Least subset containing seeds and 1, closed under join, fusion, neg;
-    raises ValueError on a seed outside the carrier."""
-    closed = frontier = set(seeds) | {alg.one}
-    outside = closed.difference(range(alg.n))
-    if outside:
-        raise ValueError("no element has id %r" % min(outside))
+    raises ValueError on a seed that is no element id."""
+    closed = frontier = {element_id(x, alg.n) for x in seeds} | {alg.one}
     while frontier:
         # what neg, join and fusion give from the last round's elements
         fresh = {alg.neg[x] for x in frontier}

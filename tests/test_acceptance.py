@@ -115,7 +115,7 @@ def test_criterion_04_gluing_golden(a1, sample_spec):
     failures = []
     if find_isomorphism(build_an(1), a1) is None:
         failures.append("glued block chain is not isomorphic to the fixture")
-    out = glue(sample_spec).result
+    out = glue(sample_spec)
     if out.n != 24:
         failures.append("glued result has %d elements" % out.n)
     if not validate(out).ok:
@@ -261,7 +261,7 @@ def _split_failures(alg):
             back = alg.fusion[alg.element(up.names[y])][c]
             if alg.names[back] != lo.names[x]:
                 out.append("phi inverse at atom %s" % alg.names[c])
-        glued = glue(s.spec).result
+        glued = glue(s.spec)
         if glued.n != lo.n + up.n:
             out.append("glued size at atom %s" % alg.names[c])
         for z in range(lo.n):

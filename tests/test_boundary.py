@@ -2,19 +2,22 @@
 
 Each raises ValueError on a non-member, and on nothing else; what they build
 from members is a member by the paper's theorems and is not checked again.
+Those that take element ids raise ValueError on anything but an int in the
+carrier's range: a float, a name, None or an int out of range.
 """
 
 import pytest
 
 from rlat import FiniteInRL, validate
-from rlat.congruence import (congruence_from_filter, congruence_lattice,
+from rlat.congruence import (Congruence, NegConeFilter,
+                             congruence_from_filter, congruence_lattice,
                              filters_of_negative_cone, quotient)
 from rlat.decompose import Leaf, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra
-from rlat.gluing import GluingSpec, glue
-from rlat.partition import partition
+from rlat.gluing import GluingSpec, glue, validate_gluing
+from rlat.partition import block, partition
 from rlat.props import (is_distributive_semilattice, is_lattice_distributive,
-                        is_semilinear)
+                        is_semilinear, subalgebra_generated)
 
 
 def rejected_mutants(alg):
@@ -84,3 +87,79 @@ class TestValueErrorContract:
     def test_members_pass(self, a1):
         for call in entry_points(a1).values():
             call(a1)
+
+
+def two_chain_spec():
+    """Stack one two-element algebra on top of another."""
+    lo, up = boolean_algebra(1), boolean_algebra(1)
+    return GluingSpec(lo, up, lo.element("1"), up.element("0"),
+                      {lo.element("1"): up.element("0")})
+
+
+def id_entry_points(a1):
+    """One call per public entry point and id argument, each taking the id,
+    with the algebra whose carrier the id must lie in."""
+    theta = congruence_lattice(a1).congruences[0]
+    s = two_chain_spec()
+
+    def quotient_with(x):
+        # the discrete classes, with x in place of element 0
+        classes = ((x,),) + tuple((y,) for y in range(1, a1.n))
+        return quotient(a1, Congruence((), classes, ()))
+
+    return {
+        "split": (a1, lambda x: split(a1, x)),
+        "block": (a1, lambda x: block(a1, x)),
+        "subalgebra_generated": (a1, lambda x: subalgebra_generated(a1, [x])),
+        "Congruence.class_of": (a1, theta.class_of),
+        "Congruence.related (first)": (a1, lambda x: theta.related(x, 0)),
+        "Congruence.related (second)": (a1, lambda x: theta.related(0, x)),
+        "congruence_from_filter": (a1, lambda x: congruence_from_filter(
+            a1, NegConeFilter((), x))),
+        "quotient": (a1, quotient_with),
+        "glue (a)": (s.lower, lambda x: glue(s._replace(a=x))),
+        "glue (b)": (s.upper, lambda x: glue(s._replace(b=x))),
+        "glue (phi key)": (s.lower, lambda x: glue(s._replace(
+            phi={x: s.b}))),
+        "glue (phi value)": (s.upper, lambda x: glue(s._replace(
+            phi={s.a: x}))),
+    }
+
+
+def bad_ids(alg):
+    """Values that are no element id of alg, one of them an element's name
+    (the last, so a digit when the names are digits)."""
+    return [None, 1.0, alg.names[-1], -1, alg.n]
+
+
+class TestElementIdContract:
+    # the entry names only; each test builds its calls on a1
+    @pytest.mark.parametrize("entry", sorted(id_entry_points(
+        boolean_algebra(2))))
+    @pytest.mark.parametrize("kind", range(5),
+                             ids=["None", "float", "name", "-1", "n"])
+    def test_bad_id_raises_value_error(self, a1, entry, kind):
+        alg, call = id_entry_points(a1)[entry]
+        with pytest.raises(ValueError):
+            call(bad_ids(alg)[kind])
+
+    def test_glue_raises_exactly_when_validate_gluing_fails(self,
+                                                            sample_spec):
+        specs = []
+        for s in (two_chain_spec(), sample_spec):
+            x, y = s.a, s.phi[s.a]
+            specs += [s, s._replace(phi={})]
+            specs += [s._replace(a=v) for v in bad_ids(s.lower)]
+            specs += [s._replace(b=v) for v in bad_ids(s.upper)]
+            specs += [s._replace(phi={v: y}) for v in bad_ids(s.lower)]
+            specs += [s._replace(phi={x: v}) for v in bad_ids(s.upper)]
+        verdicts = []
+        for spec in specs:
+            ok = validate_gluing(spec).ok
+            verdicts.append(ok)
+            if ok:
+                assert validate(glue(spec)).ok
+            else:
+                with pytest.raises(ValueError):
+                    glue(spec)
+        assert verdicts.count(True) == 2

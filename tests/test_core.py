@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import sys
+from operator import and_
 
 import pytest
 
@@ -11,7 +12,7 @@ from oracles import (meet_infimum_witness, naive_isomorphic,
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, find_isomorphism,
                   subalgebra_generated, validate)
 from rlat.core import (_fingerprints, _first_distributivity_failure,
-                       _first_join_failure, _is_semilattice,
+                       _first_join_failure, _is_mask_homomorphism,
                        _join_irreducibles)
 from rlat.generate import boolean_algebra, build_an
 from theorems import block_bounds, elementary_properties, scan_distributivity
@@ -298,8 +299,8 @@ class TestValidateAgainstScan:
     def test_fast_path_accepts_members(self, a1, corpus6):
         # a member never falls back to the O(n^3) associativity scan
         for alg in [a1, build_an(3)] + list(corpus6.algebras):
-            assert _is_semilattice(alg.join, alg.lat_up)
-            assert _is_semilattice(alg.fusion, alg.mon_dn)
+            assert _is_mask_homomorphism(alg.join, alg.lat_up, and_)
+            assert _is_mask_homomorphism(alg.fusion, alg.mon_dn, and_)
 
 
 class TestDistributivityScanOnSubsets:

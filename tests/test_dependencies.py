@@ -32,6 +32,23 @@ def test_only_standard_library_imports():
             assert top in sys.stdlib_module_names, (path.name, module)
 
 
+def test_every_imported_name_is_read():
+    # an import binds its alias, or the first part of a dotted module name;
+    # a name no expression reads is a dead import
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read:
+                        unread.append((path.name, bound))
+    assert unread == []
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize at every start-up;
     # the result records are named tuples

@@ -142,7 +142,7 @@ class TestLoadAlgebra:
 
     def test_recursive_spec(self, fixdir, sample_spec):
         alg = load_algebra(str(fixdir / "sample.gspec"))
-        assert alg == glue(sample_spec).result
+        assert alg == glue(sample_spec)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -211,7 +211,7 @@ class TestDeepTree:
             tree = Node(None, None, "1_%d" % (i - 1), "0_%d" % i, pairs, tree,
                         Leaf(up))
             expected = glue(GluingSpec(expected, up, expected.one, 0,
-                                       {expected.one: 0})).result
+                                       {expected.one: 0}))
         assert expected.n == 2 * levels + 2
         return limit, levels, tree, expected
 

@@ -115,8 +115,7 @@ class TestValidateGluing:
 
 class TestGlue:
     def test_chain_of_two_and_two(self):
-        out = glue(chain_spec())
-        alg = out.result
+        alg = glue(chain_spec())
         assert alg.n == 4
         assert validate(alg).ok
         assert is_semilinear(alg).holds
@@ -125,20 +124,24 @@ class TestGlue:
                    for x in range(4) for y in range(4))
 
     def test_name_collisions_get_primed(self):
-        alg = glue(chain_spec()).result
+        alg = glue(chain_spec())
         assert alg.names == ["0", "1", "0'", "1'"]
 
-    def test_provenance_and_layout(self, sample_spec):
-        out = glue(sample_spec)
-        nl = sample_spec.lower.n
-        for i, (side, orig) in enumerate(out.provenance):
-            if i < nl:
-                assert (side, orig) == ("lower", i)
-            else:
-                assert (side, orig) == ("upper", i - nl)
+    def test_layout(self, sample_spec):
+        # the lower factor's tables on its ids, then the upper factor's
+        # shifted by lower.n
+        for spec in (chain_spec(), sample_spec):
+            out, lo, up = glue(spec), spec.lower, spec.upper
+            assert out.n == lo.n + up.n
+            for label in ("join", "fusion"):
+                rows = getattr(out, label)
+                assert [row[:lo.n] for row in rows[:lo.n]] == \
+                    getattr(lo, label)
+                assert [row[lo.n:] for row in rows[lo.n:]] == \
+                    [[lo.n + v for v in row] for row in getattr(up, label)]
 
     def test_shipped_spec_result(self, sample_spec):
-        out = glue(sample_spec).result
+        out = glue(sample_spec)
         assert out.n == 24
         assert validate(out).ok
         assert out.one == 12 + sample_spec.upper.one
@@ -148,14 +151,14 @@ class TestGlue:
     def test_lower_zero_agreement(self, sample_spec):
         # for lower elements, being below zero is decided inside the
         # lower factor
-        out = glue(sample_spec).result
+        out = glue(sample_spec)
         lo = sample_spec.lower
         for z in range(lo.n):
             assert out.leq(z, out.zero) == lo.leq(z, lo.zero)
 
     def test_preserves_monoidal_distributivity(self, sample_spec):
         for spec in (chain_spec(), sample_spec):
-            for alg in (spec.lower, spec.upper, glue(spec).result):
+            for alg in (spec.lower, spec.upper, glue(spec)):
                 assert semilattice_distributivity_witness(alg.fusion) is None
 
     def test_family_chain_matches_fixture(self, a1):
@@ -217,7 +220,7 @@ class TestGluingTheorem:
         count = 0
         for spec in self.specs(a1, corpus6, sample_spec):
             assert validate_gluing(spec).ok
-            out = glue(spec).result
+            out = glue(spec)
             assert glued_order_failures(out, spec.lower, spec.upper, spec.a,
                                         spec.b, spec.phi) == []
             assert validate(out).ok
