@@ -9,9 +9,8 @@ import sys
 
 # each public name -> the module that defines it, loaded on first use
 _LAZY = {name: module for module, names in (
-    ("congruence", "Congruence ConLattice NegConeFilter quotient "
-                   "congruence_from_filter congruence_lattice "
-                   "filters_of_negative_cone"),
+    ("congruence", "Congruence ConLattice congruence_from_filter "
+                   "congruence_lattice quotient"),
     ("core", "AXIOM_NAMES FiniteInRL Report find_isomorphism validate"),
     ("decompose", "SplitResult decompose find_atoms reassemble split"),
     ("fileformat", "GluingSpecFile ParseError dot_export emit emit_gluing "

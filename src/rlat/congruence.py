@@ -3,20 +3,13 @@
 On a finite member every filter of the negative cone is the principal up-set
 of its least element a, and the induced congruence is the kernel of x |-> a.x:
 x and y are related exactly when a.x = a.y. The congruence lattice is
-therefore order-anti-isomorphic to the negative cone.
+therefore order-anti-isomorphic to the negative cone, and the API names
+each congruence by its generator a.
 """
 
 from collections import namedtuple
-from itertools import chain
 
-from .core import (FiniteInRL, _first_ne, bits, check_member, element_id,
-                   is_id, mask_of)
-
-
-class NegConeFilter(namedtuple("NegConeFilter", "elements generator")):
-    """elements: a sorted subset of the negative cone; generator: its least
-    element, whose up-set in the cone the filter is."""
-    __slots__ = ()
+from .core import FiniteInRL, bits, check_member, element_id, mask_of
 
 
 class Congruence(namedtuple("Congruence", "relation classes one_class")):
@@ -37,24 +30,18 @@ class ConLattice(namedtuple("ConLattice", "congruences generators refines")):
     __slots__ = ()
 
 
-def filters_of_negative_cone(alg):
-    """All filters of the negative cone, one per cone element (finite case)."""
-    cone = alg.neg_cone
-    return [NegConeFilter(tuple(bits(cone & alg.lat_up[a])), a)
-            for a in bits(cone)]
+def congruence_from_filter(alg, a):
+    """The congruence of the filter generated by a: its unit class is the
+    monoidal up-set of a.
 
-
-def congruence_from_filter(alg, f):
-    """The congruence whose unit class is the monoidal up-set of f's generator.
-
-    Raises ValueError if alg is not a member or the generator is not in its
-    negative cone.
+    Raises ValueError if alg is not a member or a is not an element id in
+    its negative cone.
     """
     check_member(alg)
-    if not alg.neg_cone >> element_id(f.generator, alg.n) & 1:
+    if not alg.neg_cone >> element_id(a, alg.n) & 1:
         raise ValueError("filter generator %d is not in the negative cone"
-                         % f.generator)
-    return _kernel(alg, f.generator)
+                         % a)
+    return _kernel(alg, a)
 
 
 def _kernel(alg, a):
@@ -70,7 +57,7 @@ def _kernel(alg, a):
     for x in range(alg.n):
         members.setdefault(row_a[x], []).append(x)
     classes = tuple(tuple(cls) for cls in members.values())
-    mask = {key: sum(1 << y for y in cls) for key, cls in members.items()}
+    mask = {key: mask_of(cls) for key, cls in members.items()}
     rel = tuple(mask[v] for v in row_a)
     return Congruence(rel, classes, tuple(members[a]))
 
@@ -91,47 +78,21 @@ def congruence_lattice(alg):
     return ConLattice(congruences, generators, refines)
 
 
-def quotient(alg, theta):
-    """Algebra on the classes of theta; operations induced classwise.
+def quotient(alg, a):
+    """Algebra on the classes of congruence_from_filter(alg, a), each named
+    by its least element; operations induced classwise.
 
-    Raises ValueError if alg is not a member, if theta's classes do not
-    hold each element once or its relation is not theirs, or if they do
-    not respect the operations; the quotient is not checked again.
+    Raises ValueError as congruence_from_filter does. The classes are the
+    kernel of x |-> a.x, a congruence by the theorem in the module
+    docstring, so neither they nor the quotient are checked.
     """
-    check_member(alg)
-    cls_of = [None] * alg.n
-    for i, cls in enumerate(theta.classes):
-        if not cls:
-            raise ValueError("class %d is empty" % i)
-        for x in cls:
-            if not is_id(x, alg.n) or cls_of[x] is not None:
-                raise ValueError("class %d holds %r, outside the carrier "
-                                 "or twice" % (i, x))
-            cls_of[x] = i
-    if None in cls_of:
-        raise ValueError("classes do not cover the carrier")
-    masks = [mask_of(cls) for cls in theta.classes]
-    if list(theta.relation) != [masks[i] for i in cls_of]:
-        raise ValueError("relation is not the relation of the classes")
-
-    # row x: the classes of neg x, then of x v z and x.z for each z; the
-    # first element whose row is not its class minimum's, and the first
-    # difference, name the operation that the classes do not respect
-    m = cls_of.__getitem__
-    rows = [[m(nx), *map(m, chain.from_iterable(zip(jr, fr)))]
-            for nx, jr, fr in zip(alg.neg, alg.join, alg.fusion)]
-    for cls in sorted(map(sorted, theta.classes)):
-        for y in cls[1:]:
-            z = _first_ne(rows[y], rows[cls[0]])
-            if z is not None:
-                raise ValueError("%s is ill-defined on classes" % (
-                    "negation", "join", "fusion")[z and 2 - z % 2])
-
+    theta = congruence_from_filter(alg, a)
+    cls_of = {x: i for i, cls in enumerate(theta.classes) for x in cls}
     reps = [cls[0] for cls in theta.classes]
 
-    def table(offset):
-        cols = [2 * r + offset for r in reps]
-        return [list(map(rows[r].__getitem__, cols)) for r in reps]
+    def table(op):
+        return [[cls_of[op[r][s]] for s in reps] for r in reps]
 
     return FiniteInRL([alg.names[r] for r in reps], cls_of[alg.one],
-                      [rows[r][0] for r in reps], table(1), table(2))
+                      [cls_of[alg.neg[r]] for r in reps], table(alg.join),
+                      table(alg.fusion))

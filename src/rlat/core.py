@@ -159,10 +159,10 @@ class FiniteInRL:
         return self.neg[self.one]
 
     def leq(self, x, y):
-        return self.join[x][y] == y
+        return self.join[element_id(x, self.n)][element_id(y, self.n)] == y
 
     def mleq(self, x, y):
-        return self.fusion[x][y] == x
+        return self.fusion[element_id(x, self.n)][element_id(y, self.n)] == x
 
     @cached_property
     def lat_up(self):

@@ -45,13 +45,13 @@ def boolean_algebra(k):
     return FiniteInRL(names, full, neg, join, fusion)
 
 
+_FOUR = boolean_algebra(2)   # the tables of every block, built once
+
+
 def _block(i):
     """Four-element Boolean block with level-i names; bit 0 is x_i."""
-    names = ["0_%d" % i, "x_%d" % i, "-x_%d" % i, "1_%d" % i]
-    neg = [3, 2, 1, 0]
-    join = [[x | y for y in range(4)] for x in range(4)]
-    fusion = [[x & y for y in range(4)] for x in range(4)]
-    return FiniteInRL(names, 3, neg, join, fusion)
+    return FiniteInRL(["0_%d" % i, "x_%d" % i, "-x_%d" % i, "1_%d" % i],
+                      _FOUR.one, _FOUR.neg, _FOUR.join, _FOUR.fusion)
 
 
 def build_an(n):

@@ -286,6 +286,28 @@ def naive_congruences(alg):
     return found
 
 
+def naive_quotient(alg, cls_vec):
+    """The algebra on the classes of a congruence, given as a class-index
+    vector: classes ordered and named by their least elements, and each
+    operation the class of its values on all members, which must agree."""
+    n = alg.n
+    classes = sorted([x for x in range(n) if cls_vec[x] == c]
+                     for c in set(cls_vec))
+    of = {x: i for i, cls in enumerate(classes) for x in cls}
+
+    def induced(values):
+        (v,) = set(values)
+        return v
+
+    def table(op):
+        return [[induced(of[op[x][y]] for x in c for y in d)
+                 for d in classes] for c in classes]
+
+    return FiniteInRL([alg.names[c[0]] for c in classes], of[alg.one],
+                      [induced(of[alg.neg[x]] for x in c) for c in classes],
+                      table(alg.join), table(alg.fusion))
+
+
 def scan_congruence(alg, rel):
     """The message of the first broken congruence property, or None.
 

@@ -9,9 +9,8 @@ carrier's range: a float, a name, None or an int out of range.
 import pytest
 
 from rlat import FiniteInRL, validate
-from rlat.congruence import (Congruence, NegConeFilter,
-                             congruence_from_filter, congruence_lattice,
-                             filters_of_negative_cone, quotient)
+from rlat.congruence import (congruence_from_filter, congruence_lattice,
+                             quotient)
 from rlat.decompose import Leaf, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra
 from rlat.gluing import GluingSpec, glue, validate_gluing
@@ -46,8 +45,7 @@ def entry_points(a1):
     two = boolean_algebra(1)
     b = two.element("0")
     atom = find_atoms(a1)[0]
-    f = filters_of_negative_cone(a1)[0]
-    theta = congruence_lattice(a1).congruences[0]
+    g = a1.one
     least = a1.element("bot")   # the monoidal least element
 
     def glue_below(m):
@@ -63,8 +61,8 @@ def entry_points(a1):
         "glue (lower factor)": glue_below,
         "glue (upper factor)": glue_above,
         "split": lambda m: split(m, atom),
-        "congruence_from_filter": lambda m: congruence_from_filter(m, f),
-        "quotient": lambda m: quotient(m, theta),
+        "congruence_from_filter": lambda m: congruence_from_filter(m, g),
+        "quotient": lambda m: quotient(m, g),
         "reassemble": lambda m: reassemble(Leaf(m)),
         "is_distributive_semilattice": is_distributive_semilattice,
         "is_lattice_distributive": is_lattice_distributive,
@@ -101,13 +99,11 @@ def id_entry_points(a1):
     with the algebra whose carrier the id must lie in."""
     theta = congruence_lattice(a1).congruences[0]
     s = two_chain_spec()
-
-    def quotient_with(x):
-        # the discrete classes, with x in place of element 0
-        classes = ((x,),) + tuple((y,) for y in range(1, a1.n))
-        return quotient(a1, Congruence((), classes, ()))
-
     return {
+        "leq (first)": (a1, lambda x: a1.leq(x, 0)),
+        "leq (second)": (a1, lambda x: a1.leq(0, x)),
+        "mleq (first)": (a1, lambda x: a1.mleq(x, 0)),
+        "mleq (second)": (a1, lambda x: a1.mleq(0, x)),
         "split": (a1, lambda x: split(a1, x)),
         "block": (a1, lambda x: block(a1, x)),
         "subalgebra_generated": (a1, lambda x: subalgebra_generated(a1, [x])),
@@ -115,8 +111,8 @@ def id_entry_points(a1):
         "Congruence.related (first)": (a1, lambda x: theta.related(x, 0)),
         "Congruence.related (second)": (a1, lambda x: theta.related(0, x)),
         "congruence_from_filter": (a1, lambda x: congruence_from_filter(
-            a1, NegConeFilter((), x))),
-        "quotient": (a1, quotient_with),
+            a1, x)),
+        "quotient": (a1, lambda x: quotient(a1, x)),
         "glue (a)": (s.lower, lambda x: glue(s._replace(a=x))),
         "glue (b)": (s.upper, lambda x: glue(s._replace(b=x))),
         "glue (phi key)": (s.lower, lambda x: glue(s._replace(

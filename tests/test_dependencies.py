@@ -5,6 +5,7 @@ them than every command needs."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -175,3 +176,13 @@ def test_package_names_survive_importing_every_submodule_first():
         "print(inspect.isfunction(rlat.decompose),\n"
         "      inspect.isfunction(rlat.partition))\n")
     assert out.splitlines() == ["[]", "[]", "True True"]
+
+
+def test_every_exported_name_appears_in_the_readme():
+    # as a word of an inline code span, outside the fenced blocks
+    import rlat
+    text = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    words = {w for span in re.findall(r"`([^`]+)`", text)
+             for w in re.findall(r"\w+", span)}
+    assert [name for name in rlat.__all__ if name not in words] == []
