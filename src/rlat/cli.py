@@ -5,7 +5,6 @@ standard output); 2 invalid input or usage. `-` reads an algebra file from
 standard input.
 """
 
-import argparse
 import os
 import sys
 
@@ -34,16 +33,16 @@ def _read_algebra(path):
         raise ValueError(exc) from None
 
 
-def _cmd_check(args):
-    alg = _read_algebra(args.file)
+def _cmd_check(path):
+    alg = _read_algebra(path)
     rep = validate(alg)
     for line in rep.lines(alg.names):
         print(line)
     return 0 if rep.ok else 1
 
 
-def _cmd_partition(args):
-    alg = _read_algebra(args.file)
+def _cmd_partition(path):
+    alg = _read_algebra(path)
     p = rlat.partition(alg)
     for b in p.blocks:
         print("block bottom=%s top=%s elements=%s"
@@ -53,8 +52,8 @@ def _cmd_partition(args):
     return 0
 
 
-def _cmd_congruences(args):
-    alg = _read_algebra(args.file)
+def _cmd_congruences(path):
+    alg = _read_algebra(path)
     con = rlat.congruence_lattice(alg)
     print("congruences %d" % len(con.congruences))
     for gen, theta in zip(con.generators, con.congruences):
@@ -63,14 +62,14 @@ def _cmd_congruences(args):
     return 0
 
 
-def _cmd_glue(args):
-    if args.specfile == "-":
+def _cmd_glue(specfile):
+    if specfile == "-":
         sf = parse_gluing(sys.stdin.read())
         base = os.getcwd()
     else:
-        with open(args.specfile, "r", encoding="utf-8") as fh:
+        with open(specfile, "r", encoding="utf-8") as fh:
             sf = parse_gluing(fh.read())
-        base = os.path.dirname(os.path.realpath(args.specfile))
+        base = os.path.dirname(os.path.realpath(specfile))
     paths = [os.path.join(base, ref) for ref in (sf.lower_ref, sf.upper_ref)]
     lower, upper = map(_read_algebra, paths)
     try:
@@ -87,8 +86,8 @@ def _cmd_glue(args):
     return 0
 
 
-def _cmd_decompose(args):
-    alg = _read_algebra(args.file)
+def _cmd_decompose(path, out):
+    alg = _read_algebra(path)
     tree = rlat.decompose(alg)
     for part, name in tree._named(TREE_ROOT):
         if isinstance(part, rlat.Leaf):
@@ -96,48 +95,47 @@ def _cmd_decompose(args):
         else:
             print("node %s: atom=%s complement=%s a=%s b=%s"
                   % (name, part.atom, part.complement, part.a, part.b))
-    if args.out:
-        for fname, _ in write_tree(tree, args.out):
+    if out:
+        for fname, _ in write_tree(tree, out):
             print("wrote %s" % fname)
     return 0
 
 
-def _cmd_reassemble(args):
+def _cmd_reassemble(directory):
     for ext in (".gspec", ".rlat"):
-        root = os.path.join(args.dir, TREE_ROOT + ext)
+        root = os.path.join(directory, TREE_ROOT + ext)
         if os.path.exists(root):
             sys.stdout.write(emit(_read_algebra(root)))
             return 0
     print("error: no %s.gspec or %s.rlat in %s"
-          % (TREE_ROOT, TREE_ROOT, args.dir), file=sys.stderr)
+          % (TREE_ROOT, TREE_ROOT, directory), file=sys.stderr)
     return 2
 
 
-def _cmd_gen(args):
-    build = rlat.build_an if args.family == "an" else rlat.boolean_algebra
-    sys.stdout.write(emit(build(args.number)))
+def _cmd_gen(family, number):
+    build = rlat.build_an if family == "an" else rlat.boolean_algebra
+    sys.stdout.write(emit(build(number)))
     return 0
 
 
-def _cmd_enum(args):
-    corpus = rlat.enumerate_up_to_iso(args.maxsize)
-    os.makedirs(args.out, exist_ok=True)
+def _cmd_enum(maxsize, out):
+    corpus = rlat.enumerate_up_to_iso(maxsize)
+    os.makedirs(out, exist_ok=True)
     index = {}
     for alg in corpus.algebras:
         i = index.get(alg.n, 0)
         index[alg.n] = i + 1
         fname = "n%d_%d.rlat" % (alg.n, i)
-        with open(os.path.join(args.out, fname), "w",
-                  encoding="utf-8") as fh:
+        with open(os.path.join(out, fname), "w", encoding="utf-8") as fh:
             fh.write(emit(alg))
     for size in sorted(corpus.counts):
         print("size %d: %d" % (size, corpus.counts[size]))
     return 0
 
 
-def _cmd_prop(args):
-    alg = _read_algebra(args.file)
-    verdict = getattr(rlat, _PROPS[args.name])(alg)
+def _cmd_prop(name, path):
+    alg = _read_algebra(path)
+    verdict = getattr(rlat, _PROPS[name])(alg)
     if verdict.holds:
         print("holds")
         return 0
@@ -147,74 +145,199 @@ def _cmd_prop(args):
     return 1
 
 
-def _cmd_dot(args):
-    alg = _read_algebra(args.file)
+def _cmd_dot(path, order):
+    alg = _read_algebra(path)
     check_member(alg)
-    sys.stdout.write(dot_export(alg, args.order))
+    sys.stdout.write(dot_export(alg, order))
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="rlat",
-        description="Finite commutative idempotent involutive residuated "
-                    "lattices: validation, partitions, congruences, gluing, "
-                    "decomposition, generation, enumeration.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()   # the default of an option that must be given
+_FILE = ("FILE", str)
 
-    p = sub.add_parser("check", help="validate every axiom")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
+# command -> (function, positionals, options, description). A positional is
+# (metavar, values), where values is str, int or a tuple of the choices,
+# shown as {a|b} in place of a metavar of None; an option maps its --name
+# to (metavar, values, default). The function takes the positionals, then
+# the options in this order. `rlat -h` prints one line per command, the
+# block under "Command line" in README.md
+_COMMANDS = {
+    "check": (_cmd_check, [_FILE], {},
+              "validate every axiom (exit 0 ok, 1 fail)"),
+    "partition": (_cmd_partition, [_FILE], {},
+                  "blocks, bottoms/tops, skeleton"),
+    "congruences": (_cmd_congruences, [_FILE], {},
+                    "congruence count and class sizes"),
+    "glue": (_cmd_glue, [("SPECFILE", str)], {},
+             "glue two algebras per a spec file"),
+    "decompose": (_cmd_decompose, [_FILE], {"--out": ("DIR", str, None)},
+                  "print the split tree; optionally write it"),
+    "reassemble": (_cmd_reassemble, [("DIR", str)], {},
+                   "glue a written tree back together"),
+    "gen": (_cmd_gen, [(None, ("an", "bool")), ("N", int)], {},
+            "emit a stock algebra"),
+    "enum": (_cmd_enum, [("MAXSIZE", int)],
+             {"--out": ("DIR", str, _REQUIRED)},
+             "enumerate members up to isomorphism"),
+    "prop": (_cmd_prop, [("NAME", tuple(_PROPS)), _FILE], {},
+             " | ".join(_PROPS)),
+    "dot": (_cmd_dot, [_FILE],
+            {"--order": (None, ("lattice", "monoidal"), "lattice")},
+            "Hasse diagram as DOT text"),
+}
 
-    p = sub.add_parser("partition", help="Boolean blocks and skeleton")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_partition)
 
-    p = sub.add_parser("congruences", help="congruence lattice summary")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_congruences)
+def _metavar(metavar, values):
+    return metavar or "{%s}" % "|".join(values)
 
-    p = sub.add_parser("glue", help="glue two algebras per a spec file")
-    p.add_argument("specfile")
-    p.set_defaults(func=_cmd_glue)
 
-    p = sub.add_parser("decompose", help="split into Boolean leaves")
-    p.add_argument("file")
-    p.add_argument("--out", help="write the tree to this directory")
-    p.set_defaults(func=_cmd_decompose)
+def _synopsis(command):
+    """The arguments of command as `rlat -h` shows them."""
+    _, positionals, options, _ = _COMMANDS[command]
+    words = [_metavar(*spec) for spec in positionals]
+    for option, (metavar, values, default) in options.items():
+        word = "%s %s" % (option, _metavar(metavar, values))
+        words.append(word if default is _REQUIRED else "[%s]" % word)
+    return " ".join([command] + words)
 
-    p = sub.add_parser("reassemble", help="glue a written tree back together")
-    p.add_argument("dir")
-    p.set_defaults(func=_cmd_reassemble)
 
-    p = sub.add_parser("gen", help="generate a stock algebra")
-    p.add_argument("family", choices=("an", "bool"))
-    p.add_argument("number", type=int)
-    p.set_defaults(func=_cmd_gen)
+def _help_line(command):
+    # descriptions start in the column after `rlat enum MAXSIZE --out DIR`
+    return "%-27s  %s" % ("rlat " + _synopsis(command), _COMMANDS[command][3])
 
-    p = sub.add_parser("enum", help="enumerate members up to isomorphism")
-    p.add_argument("maxsize", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_enum)
 
-    p = sub.add_parser("prop", help="decide a property")
-    p.add_argument("name", choices=sorted(_PROPS))
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_prop)
+def _usage_error(command, message):
+    """Print the usage of command (of rlat when None) and message on
+    standard error, and exit 2."""
+    usage = (_synopsis(command) if command
+             else "{%s} ..." % "|".join(_COMMANDS))
+    print("usage: rlat %s\nrlat: error: %s" % (usage, message),
+          file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("dot", help="Hasse diagram as DOT text")
-    p.add_argument("file")
-    p.add_argument("--order", choices=("lattice", "monoidal"),
-                   default="lattice")
-    p.set_defaults(func=_cmd_dot)
-    return parser
+
+def _is_negative_number(arg):
+    """-5, -.5 or -1.5: an argument, not an option."""
+    whole, dot, frac = arg[1:].partition(".")
+    if dot:
+        return (whole == "" or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
+
+
+def _split(command, arg, options):
+    """(option, value) for an argument that names one of options, by its
+    name, a unique prefix of it or -h for --help; value follows `=`, None
+    without one. (None, arg) for a positional: `-`, a negative number and
+    an argument with a space are positionals. ("", arg) for an unknown
+    option, and ("--", None) for `--`."""
+    if arg == "--":
+        return arg, None
+    if arg.startswith("-h"):   # -hx gives -h the value x
+        return "--help", arg[2:] or None
+    key, eq, value = arg.partition("=")
+    names = [key] if key in options else [
+        o for o in options if key.startswith("--") and o.startswith(key)]
+    if len(names) == 1:
+        return names[0], value if eq else None
+    if names:
+        _usage_error(command, "ambiguous option: %s could match %s"
+                     % (key, ", ".join(names)))
+    if (arg[:1] != "-" or arg == "-" or _is_negative_number(arg)
+            or " " in arg):
+        return None, arg
+    return "", arg
+
+
+def _value(command, metavar, values, arg):
+    if isinstance(values, tuple):
+        if arg not in values:
+            _usage_error(command, "argument %s: invalid choice: %r (choose "
+                         "from %s)" % (_metavar(metavar, values), arg,
+                                       ", ".join(values)))
+        return arg
+    try:
+        return values(arg)
+    except ValueError:
+        _usage_error(command, "argument %s: invalid %s value: %r"
+                     % (metavar, values.__name__, arg))
+
+
+def _help(command, value):
+    if value is not None:
+        _usage_error(command, "argument -h/--help: ignored explicit "
+                     "argument %r" % value)
+    commands = [command] if command else _COMMANDS
+    print("\n".join(_help_line(c) for c in commands))
+    raise SystemExit(0)
+
+
+def _parse(argv):
+    """The function of the command that argv names, and the arguments to
+    call it with.
+
+    Options may come before or after the positionals, spelt --name VALUE,
+    --name=VALUE or by a unique prefix of the name, and `--` ends them; the
+    last of a repeated option holds. -h or --help prints the commands, or
+    after a command its line, and exits 0. A usage error exits 2.
+    """
+    unknown = []
+    for i, arg in enumerate(argv):   # before the command: -h or --help
+        option, value = _split(None, arg, ("--help",))
+        if option is None or option == "--":
+            break
+        if option == "--help":
+            _help(None, value)
+        unknown.append(arg)
+    else:
+        _usage_error(None, "the following arguments are required: COMMAND")
+    command = argv[i]
+    if command not in _COMMANDS:
+        _usage_error(None, "invalid command: %r" % command)
+    func, positionals, options, _ = _COMMANDS[command]
+    # every argument is classified before any is read, so an ambiguous
+    # option is an error even after -h; after `--` all are positionals
+    names, classified = ("--help",) + tuple(options), []
+    for arg in argv[i + 1:]:
+        classified.append(_split(command, arg, names) if names
+                          else (None, arg))
+        if arg == "--":
+            names = ()
+    values, given = [], {}
+    args = iter(classified)
+    for option, value in args:
+        if option == "--help":
+            _help(command, value)
+        elif option == "--":
+            pass
+        elif option:
+            if value is None:
+                following, value = next(args, ("--", None))
+                if following is not None:
+                    _usage_error(command, "argument %s: expected one "
+                                 "argument" % option)
+            given[option] = _value(command, option, options[option][1],
+                                   value)
+        elif option is None and len(values) < len(positionals):
+            values.append(_value(command, *positionals[len(values)], value))
+        else:
+            unknown.append(value)
+    missing = [_metavar(*spec) for spec in positionals[len(values):]]
+    missing += [o for o, (_, _, default) in options.items()
+                if default is _REQUIRED and o not in given]
+    if missing:
+        _usage_error(command, "the following arguments are required: %s"
+                     % ", ".join(missing))
+    if unknown:
+        _usage_error(command, "unrecognized arguments: %s"
+                     % " ".join(unknown))
+    return func, values + [given.get(o, spec[2])
+                           for o, spec in options.items()]
 
 
 def run(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    func, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return func(*args)
     except Rejected as exc:   # the input of the command is not a member
         for line in exc.report.lines():
             print(line)

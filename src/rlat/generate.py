@@ -7,7 +7,6 @@ the family witnesses that one generator does not bound the size.
 """
 
 from .core import FiniteInRL
-from .gluing import Leaf, Node, _glue_tree
 
 # The largest carrier the generators build; memory bounds it, not time. On a
 # 2-CPU machine with Python 3.11, each in a fresh process, `rlat gen an 254`
@@ -61,6 +60,8 @@ def build_an(n):
     if 4 * n + 6 > SIZE_CAP:
         raise ValueError("size 4n+6 exceeds cap %d for n > %d"
                          % (SIZE_CAP, (SIZE_CAP - 6) // 4))
+    # loaded here, so that boolean_algebra does not compile gluing
+    from .gluing import Leaf, Node, _glue_tree
     tree = Leaf(_block(0))
     for i in range(n):
         a, b = ("x_%d", "-x_%d") if i % 2 == 0 else ("-x_%d", "x_%d")

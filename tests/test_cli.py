@@ -1,6 +1,8 @@
 import hashlib
 import io
 import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from rlat import (AXIOM_NAMES, FiniteInRL, find_isomorphism, validate,
 from rlat.cli import run
 from rlat.fileformat import dot_export, emit, load_algebra, parse
 from rlat.generate import boolean_algebra, build_an
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def invoke(capsys, *argv):
@@ -440,6 +444,64 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, spelled", [
+        ("decompose {F} --out {D}", "decompose {F} --out={D}"),
+        ("decompose {F} --out {D}", "decompose --out {D} {F}"),
+        ("dot {F} --order monoidal", "dot {F} --ord monoidal"),
+        ("check {F}", "check -- {F}"),
+    ])
+    def test_option_spellings(self, capsys, a1_path, tmp_path, argv,
+                              spelled):
+        # each spelling gives the stdout of the plain one and exit 0
+        results = [invoke(capsys, *line.format(F=a1_path,
+                                               D=tmp_path / d).split())
+                   for line, d in ((argv, "plain"), (spelled, "spelled"))]
+        assert results[0][0] == 0 and results[0][1]
+        assert results[1] == results[0]
+
+    def test_negative_number_is_a_positional(self, capsys):
+        assert invoke(capsys, "gen", "an", "-1") \
+            == (2, "", "error: index must be nonnegative\n")
+
+    @pytest.mark.parametrize("argv", [
+        "check {F} {F}", "check {F} --bogus", "gen an x", "gen foo 2",
+        "prop nope {F}", "enum 4",
+    ])
+    def test_usage_error(self, capsys, a1_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv.format(F=a1_path).split())
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: rlat ")
+        assert err.splitlines()[-1].startswith("rlat: error: ")
+
+    @pytest.mark.parametrize("argv", ["-h", "check -h"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert "check" in out
+
+    def test_help_prints_the_readme_command_block(self, capsys):
+        # the block under "## Command line", and each command's line of it
+        # after that command
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Command line\n\n```\n(.*?)^```", text,
+                          re.S | re.M).group(1)
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert (exc.value.code, capsys.readouterr()) == (0, (block, ""))
+        lines = block.splitlines()
+        assert [line.split()[1] for line in lines] == [
+            "check", "partition", "congruences", "glue", "decompose",
+            "reassemble", "gen", "enum", "prop", "dot"]
+        for line in lines:
+            with pytest.raises(SystemExit) as exc:
+                run([line.split()[1], "-h"])
+            assert (exc.value.code, capsys.readouterr()) \
+                == (0, (line + "\n", ""))
 
 
 @pytest.mark.skipif(shutil.which("rlat") is None,

@@ -86,6 +86,17 @@ def test_cli_import_loads_only_what_every_command_needs():
     assert [m for m in out if m.split(".")[0] == "rlat"] == CLI_MODULES
 
 
+def test_cli_import_loads_no_argument_parser():
+    # argparse, with the gettext and locale it imports, is start-up that
+    # every command would pay; the commands parse argv from cli._COMMANDS
+    out = fresh_python("import sys\n"
+                       "before = set(sys.modules)\n"
+                       "import rlat.cli\n"
+                       "print(*sorted(set(sys.modules) - before))").split()
+    assert "rlat.cli" in out
+    assert [m for m in ("argparse", "gettext", "locale") if m in out] == []
+
+
 def test_package_import_loads_no_submodule():
     assert rlat_modules("import rlat") == ["rlat"]
 
@@ -116,6 +127,7 @@ def test_every_exported_name_loads_lazily():
     ("reassemble tree", "gluing"),
     ("glue sample.gspec", "gluing"),
     ("gen an 2", "generate gluing"),
+    ("gen bool 2", "generate"),
     ("prop distr-semilattice a1.rlat", "props"),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules,
