@@ -5,6 +5,7 @@ standard output); 2 invalid input or usage. `-` reads an algebra file from
 standard input.
 """
 
+import gc
 import os
 import sys
 
@@ -348,7 +349,14 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+    finally:
+        # the process ends here: frozen objects are left out of the
+        # collections the interpreter runs on its way out; run() does not
+        # freeze, since its callers go on
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -89,6 +89,14 @@ def element_id(x, ids):
     return x
 
 
+def int_arg(x, what):
+    """x, if it is an int (bools included, as in is_id); raises ValueError
+    naming what and x otherwise."""
+    if not isinstance(x, int):
+        raise ValueError("%s must be an int, not %r" % (what, x))
+    return x
+
+
 def _ids(ids):
     # the set of the ids; an unhashable id, such as a list, is no int
     try:

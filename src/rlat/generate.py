@@ -6,7 +6,7 @@ the level. The result has 4n+6 elements and is generated by x_0 alone, so
 the family witnesses that one generator does not bound the size.
 """
 
-from .core import FiniteInRL
+from .core import FiniteInRL, int_arg
 
 # The largest carrier the generators build; memory bounds it, not time. On a
 # 2-CPU machine with Python 3.11, each in a fresh process, `rlat gen an 254`
@@ -18,7 +18,7 @@ SIZE_CAP = 1024
 
 def boolean_algebra(k):
     """Boolean algebra on k atoms; fusion is meet, 2^k elements."""
-    if k < 0:
+    if int_arg(k, "atom count") < 0:
         raise ValueError("atom count must be nonnegative")
     # 2^k > SIZE_CAP exactly when k >= SIZE_CAP.bit_length(); neither 2^k
     # nor k is built or printed, since either may have too many digits
@@ -55,7 +55,7 @@ def _block(i):
 
 def build_an(n):
     """Left-associated glued chain of n+1 blocks plus a final two-element top."""
-    if n < 0:
+    if int_arg(n, "index") < 0:
         raise ValueError("index must be nonnegative")
     if 4 * n + 6 > SIZE_CAP:
         raise ValueError("size 4n+6 exceeds cap %d for n > %d"

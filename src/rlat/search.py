@@ -39,7 +39,7 @@ from collections import namedtuple
 from itertools import chain, combinations, compress, repeat
 from operator import and_, getitem
 
-from .core import FiniteInRL, find_isomorphism, validate
+from .core import FiniteInRL, find_isomorphism, int_arg, validate
 
 # the largest size `rlat enum` finishes in under a minute
 SIZE_CAP = 8
@@ -50,7 +50,7 @@ class Corpus(namedtuple("Corpus", "max_size algebras counts")):
 
 
 def enumerate_up_to_iso(max_size):
-    if max_size < 1:
+    if int_arg(max_size, "size bound") < 1:
         raise ValueError("size bound must be positive")
     if max_size > SIZE_CAP:
         raise ValueError("size bound %d exceeds cap %d"

@@ -3,8 +3,11 @@
 Each raises ValueError on a non-member, and on nothing else; what they build
 from members is a member by the paper's theorems and is not checked again.
 Those that take element ids raise ValueError on anything but an int in the
-carrier's range: a float, a name, None or an int out of range.
+carrier's range: a float, a name, None or an int out of range. The
+generators and the enumerator raise ValueError on a size that is no int.
 """
+
+import re
 
 import pytest
 
@@ -12,11 +15,12 @@ from rlat import FiniteInRL, validate
 from rlat.congruence import (congruence_from_filter, congruence_lattice,
                              quotient)
 from rlat.decompose import Leaf, decompose, find_atoms, reassemble, split
-from rlat.generate import boolean_algebra
+from rlat.generate import boolean_algebra, build_an
 from rlat.gluing import GluingSpec, glue, validate_gluing
 from rlat.partition import block, partition
 from rlat.props import (is_distributive_semilattice, is_lattice_distributive,
                         is_semilinear, subalgebra_generated)
+from rlat.search import enumerate_up_to_iso
 
 
 def rejected_mutants(alg):
@@ -159,3 +163,22 @@ class TestElementIdContract:
                 with pytest.raises(ValueError):
                     glue(spec)
         assert verdicts.count(True) == 2
+
+
+class TestSizeContract:
+    # a size that is no int is named in a ValueError before any other check
+    # reads it; bools are ints, as for element ids
+    @pytest.mark.parametrize("call, size", [
+        (boolean_algebra, 2.0), (boolean_algebra, "2"),
+        (build_an, 1.5), (build_an, None),
+        (enumerate_up_to_iso, 2.5), (enumerate_up_to_iso, "3"),
+    ])
+    def test_non_int_size_raises_value_error(self, call, size):
+        with pytest.raises(ValueError, match="must be an int, not %s"
+                           % re.escape(repr(size))):
+            call(size)
+
+    def test_bool_size_is_an_int(self):
+        assert boolean_algebra(True).n == 2
+        assert build_an(True).n == 10
+        assert enumerate_up_to_iso(True).counts == {1: 1}

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from rlat import (AXIOM_NAMES, FiniteInRL, find_isomorphism, validate,
                   validate_gluing)
-from rlat.cli import run
+from rlat.cli import main, run
 from rlat.fileformat import dot_export, emit, load_algebra, parse
 from rlat.generate import boolean_algebra, build_an
 
@@ -502,6 +503,71 @@ class TestUsage:
                 run([line.split()[1], "-h"])
             assert (exc.value.code, capsys.readouterr()) \
                 == (0, (line + "\n", ""))
+
+
+def in_process(capsys, monkeypatch, argv, stdin):
+    """(exit code, stdout, stderr) of run(argv) in this process, from the
+    repository root."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        code = run(argv)
+    except SystemExit as exc:   # a usage error or -h
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def fresh_main(argv, stdin):
+    """(exit code, stdout, stderr) of `python -m rlat.cli argv` in a new
+    interpreter on src, from the repository root: the path of main()."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "rlat.cli", *argv],
+                          cwd=ROOT, env=env, input=stdin,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code", [
+        ("check fixtures/a1.rlat", 0),
+        ("prop distr-lattice fixtures/a1.rlat", 1),
+        ("check nosuch.rlat", 2),
+        ("gen an -1", 2),
+        ("frobnicate", 2),
+        ("-h", 0),
+        ("check -", 0),
+    ])
+    def test_main_matches_run(self, capsys, monkeypatch, fixdir, argv,
+                              code):
+        # the stdout, stderr and exit code of a new process through main()
+        # are those of run() in this one; `check -` reads a1.rlat
+        stdin = (fixdir / "a1.rlat").read_text(encoding="utf-8")
+        expected = in_process(capsys, monkeypatch, argv.split(), stdin)
+        assert expected[0] == code
+        assert fresh_main(argv.split(), stdin) == expected
+
+    @pytest.mark.parametrize("argv, code", [
+        ("prop distr-lattice {F}", 1), ("frobnicate", 2),
+    ])
+    def test_only_main_freezes(self, monkeypatch, a1_path, argv, code):
+        # run() is called by processes that go on, and leaves the collector
+        # as it found it; main() ends the process, and freezes the heap
+        # whether run() returns or raises SystemExit
+        argv = argv.format(F=a1_path).split()
+        before = gc.get_freeze_count()
+        with pytest.raises(SystemExit):
+            run(["frobnicate"])
+        assert run(["check", a1_path]) == 0
+        assert gc.get_freeze_count() == before
+        monkeypatch.setattr(sys, "argv", ["rlat"] + argv)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main()
+            assert exc.value.code == code
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()   # this process goes on
 
 
 @pytest.mark.skipif(shutil.which("rlat") is None,
