@@ -1,8 +1,9 @@
 """Command line surface.
 
 Exit codes: 0 success or property holds; 1 axiom/property fails (witness on
-standard output); 2 invalid input or usage. `-` reads an algebra file from
-standard input.
+standard output); 2 invalid input or usage; 141, as on SIGPIPE, when
+standard output has no reader. `-` reads an algebra file from standard
+input.
 """
 
 import gc
@@ -217,36 +218,9 @@ def _usage_error(command, message):
     raise SystemExit(2)
 
 
-def _is_negative_number(arg):
-    """-5, -.5 or -1.5: an argument, not an option."""
-    whole, dot, frac = arg[1:].partition(".")
-    if dot:
-        return (whole == "" or whole.isdecimal()) and frac.isdecimal()
-    return whole.isdecimal()
-
-
-def _split(command, arg, options):
-    """(option, value) for an argument that names one of options, by its
-    name, a unique prefix of it or -h for --help; value follows `=`, None
-    without one. (None, arg) for a positional: `-`, a negative number and
-    an argument with a space are positionals. ("", arg) for an unknown
-    option, and ("--", None) for `--`."""
-    if arg == "--":
-        return arg, None
-    if arg.startswith("-h"):   # -hx gives -h the value x
-        return "--help", arg[2:] or None
-    key, eq, value = arg.partition("=")
-    names = [key] if key in options else [
-        o for o in options if key.startswith("--") and o.startswith(key)]
-    if len(names) == 1:
-        return names[0], value if eq else None
-    if names:
-        _usage_error(command, "ambiguous option: %s could match %s"
-                     % (key, ", ".join(names)))
-    if (arg[:1] != "-" or arg == "-" or _is_negative_number(arg)
-            or " " in arg):
-        return None, arg
-    return "", arg
+def _is_positional(arg):
+    """`-`, a negative integer or any argument not led by `-`."""
+    return arg[:1] != "-" or arg == "-" or arg[1:].isdecimal()
 
 
 def _value(command, metavar, values, arg):
@@ -263,65 +237,47 @@ def _value(command, metavar, values, arg):
                      % (metavar, values.__name__, arg))
 
 
-def _help(command, value):
-    if value is not None:
-        _usage_error(command, "argument -h/--help: ignored explicit "
-                     "argument %r" % value)
-    commands = [command] if command else _COMMANDS
-    print("\n".join(_help_line(c) for c in commands))
-    raise SystemExit(0)
-
-
 def _parse(argv):
     """The function of the command that argv names, and the arguments to
-    call it with.
-
-    Options may come before or after the positionals, spelt --name VALUE,
-    --name=VALUE or by a unique prefix of the name, and `--` ends them; the
-    last of a repeated option holds. -h or --help prints the commands, or
-    after a command its line, and exits 0. A usage error exits 2.
-    """
-    unknown = []
-    for i, arg in enumerate(argv):   # before the command: -h or --help
-        option, value = _split(None, arg, ("--help",))
-        if option is None or option == "--":
-            break
-        if option == "--help":
-            _help(None, value)
-        unknown.append(arg)
-    else:
-        _usage_error(None, "the following arguments are required: COMMAND")
-    command = argv[i]
-    if command not in _COMMANDS:
-        _usage_error(None, "invalid command: %r" % command)
-    func, positionals, options, _ = _COMMANDS[command]
-    # every argument is classified before any is read, so an ambiguous
-    # option is an error even after -h; after `--` all are positionals
-    names, classified = ("--help",) + tuple(options), []
-    for arg in argv[i + 1:]:
-        classified.append(_split(command, arg, names) if names
-                          else (None, arg))
-        if arg == "--":
-            names = ()
-    values, given = [], {}
-    args = iter(classified)
-    for option, value in args:
-        if option == "--help":
-            _help(command, value)
-        elif option == "--":
-            pass
-        elif option:
-            if value is None:
-                following, value = next(args, ("--", None))
-                if following is not None:
+    call it with, by the grammar under "Command line" in README.md: the
+    command is the first positional, and the last of a repeated option
+    holds. Help exits 0, and a usage error exits 2."""
+    command, positionals, options = None, [], {}
+    values, given, unknown, ended = [], {}, [], False
+    args = iter(argv)
+    for arg in args:
+        # the options of the command that arg names, in full or by prefix
+        key, eq, value = arg.partition("=")
+        names = [o for o in options if len(key) > 2 and o.startswith(key)]
+        if arg == "--" and command and not ended:
+            ended = True   # before the command, `--` is an invalid command
+        elif ended or _is_positional(arg) or arg == "--":
+            if command is None:
+                if arg not in _COMMANDS:
+                    _usage_error(None, "invalid command: %r" % arg)
+                command = arg
+                func, positionals, options, _ = _COMMANDS[command]
+            elif len(values) < len(positionals):
+                values.append(_value(command, *positionals[len(values)],
+                                     arg))
+            else:
+                unknown.append(arg)
+        elif arg == "-h" or len(arg) > 2 and "--help".startswith(arg):
+            commands = [command] if command else _COMMANDS
+            print("\n".join(_help_line(c) for c in commands), flush=True)
+            raise SystemExit(0)
+        elif len(names) == 1:
+            if not eq:   # the value is the next argument, if a positional
+                value = next(args, "--")
+                if not _is_positional(value):
                     _usage_error(command, "argument %s: expected one "
-                                 "argument" % option)
-            given[option] = _value(command, option, options[option][1],
-                                   value)
-        elif option is None and len(values) < len(positionals):
-            values.append(_value(command, *positionals[len(values)], value))
+                                 "argument" % names[0])
+            given[names[0]] = _value(command, names[0],
+                                     options[names[0]][1], value)
         else:
-            unknown.append(value)
+            unknown.append(arg)
+    if command is None:
+        _usage_error(None, "the following arguments are required: COMMAND")
     missing = [_metavar(*spec) for spec in positionals[len(values):]]
     missing += [o for o, (_, _, default) in options.items()
                 if default is _REQUIRED and o not in given]
@@ -339,6 +295,8 @@ def run(argv=None):
     func, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return func(*args)
+    except BrokenPipeError:   # the reader of standard output has gone
+        raise
     except Rejected as exc:   # the input of the command is not a member
         for line in exc.report.lines():
             print(line)
@@ -351,6 +309,12 @@ def run(argv=None):
 def main():
     try:
         code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # exit as a command ended by SIGPIPE does; the output left in the
+        # buffer goes to the null device when the interpreter flushes it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     finally:
         # the process ends here: frozen objects are left out of the
         # collections the interpreter runs on its way out; run() does not

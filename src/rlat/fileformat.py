@@ -194,8 +194,9 @@ def write_tree(tree, outdir):
 
     The root is named TREE_ROOT. A leaf at name p becomes p.rlat; a node
     becomes p.gspec referencing its children p0 and p1. Returns the list of
-    (filename, kind) written, root first. Raises ValueError, and writes no
-    file, when a name is longer than the directory can hold.
+    (filename, kind) written, root first, and removes the root file of the
+    other kind. Raises ValueError, and writes or removes no file, when a
+    name is longer than the directory can hold.
     """
     from .gluing import Leaf
 
@@ -209,6 +210,12 @@ def write_tree(tree, outdir):
     if max(len(fname(*p)) for p in parts) > limit:     # ASCII names
         raise ValueError("tree too deep: its file names are longer than "
                          "the limit of %d bytes in %s" % (limit, outdir))
+    # reassemble reads t.gspec before t.rlat, so a root of the other kind
+    # left by an earlier tree would be read in place of this one
+    stale = os.path.join(outdir, TREE_ROOT + (
+        ".gspec" if isinstance(tree, Leaf) else ".rlat"))
+    if os.path.exists(stale):
+        os.remove(stale)
     written = []
     for part, name in parts:
         if isinstance(part, Leaf):

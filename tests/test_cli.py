@@ -261,6 +261,23 @@ class TestDecomposeReassemble:
         assert digest.hexdigest() == \
             "19f11d20ce1d89fb978390a14818ff0a8764dc0566674fc2982ae41ccae01f41"
 
+    def test_out_replaces_the_root_of_the_other_kind(self, capsys,
+                                                      a1_path, tmp_path):
+        # a1's tree has a node at its root (t.gspec) and boolean_algebra(2)'s
+        # is one leaf (t.rlat): reassemble rebuilds the tree written last
+        b_path = tmp_path / "b.rlat"
+        b_path.write_text(invoke(capsys, "gen", "bool", "2")[1],
+                          encoding="utf-8")
+        out = tmp_path / "D"
+        for src, root in ((a1_path, "t.gspec"), (str(b_path), "t.rlat"),
+                          (a1_path, "t.gspec")):
+            assert invoke(capsys, "decompose", src, "--out", str(out))[0] == 0
+            assert [p.name for p in out.glob("t.*")] == [root]
+            code, text, err = invoke(capsys, "reassemble", str(out))
+            assert (code, err) == (0, "")
+            assert find_isomorphism(parse(text), load_algebra(src)) \
+                is not None
+
     def test_reassemble_empty_dir(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))
         assert code == 2
@@ -450,13 +467,21 @@ class TestUsage:
         ("decompose {F} --out {D}", "decompose {F} --out={D}"),
         ("decompose {F} --out {D}", "decompose --out {D} {F}"),
         ("dot {F} --order monoidal", "dot {F} --ord monoidal"),
+        ("dot {F} --order monoidal", "dot --order monoidal -- {F}"),
         ("check {F}", "check -- {F}"),
+        ("check {F}", "check -- -"),
+        ("check --help", "check {F} --he"),
+        ("check --help", "check {F} -h"),
+        ("--help", "--he"),
     ])
-    def test_option_spellings(self, capsys, a1_path, tmp_path, argv,
-                              spelled):
-        # each spelling gives the stdout of the plain one and exit 0
-        results = [invoke(capsys, *line.format(F=a1_path,
-                                               D=tmp_path / d).split())
+    def test_option_spellings(self, capsys, monkeypatch, a1_path, tmp_path,
+                              argv, spelled):
+        # each spelling gives the stdout of the plain one and exit 0; `-`
+        # reads a1.rlat
+        stdin = pathlib.Path(a1_path).read_text(encoding="utf-8")
+        results = [in_process(capsys, monkeypatch,
+                              line.format(F=a1_path, D=tmp_path / d).split(),
+                              stdin)
                    for line, d in ((argv, "plain"), (spelled, "spelled"))]
         assert results[0][0] == 0 and results[0][1]
         assert results[1] == results[0]
@@ -468,14 +493,23 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         "check {F} {F}", "check {F} --bogus", "gen an x", "gen foo 2",
         "prop nope {F}", "enum 4",
+        # -h takes no value, and --=x names no option
+        "-hx", "check {F} --=x",
+        # only integers are negative numbers; the rest are options
+        "gen an -1.5", "gen an -.5",
+        "--bogus check {F}", "check -x",
+        # an option's value is the next argument only if it is a positional
+        "decompose {F} --out --", "enum 4 --out",
     ])
-    def test_usage_error(self, capsys, a1_path, argv):
+    def test_usage_error(self, capsys, monkeypatch, a1_path, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             run(argv.format(F=a1_path).split())
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         assert err.startswith("usage: rlat ")
         assert err.splitlines()[-1].startswith("rlat: error: ")
+        assert list(tmp_path.iterdir()) == []   # no --out directory
 
     @pytest.mark.parametrize("argv", ["-h", "check -h"])
     def test_help_exits_zero(self, capsys, argv):
@@ -546,6 +580,29 @@ class TestEntryPoint:
         expected = in_process(capsys, monkeypatch, argv.split(), stdin)
         assert expected[0] == code
         assert fresh_main(argv.split(), stdin) == expected
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [
+        "congruences fixtures/a1.rlat", "gen bool 1", "check -", "-h",
+    ])
+    def test_closed_stdout_exits_as_on_sigpipe(self, fixdir, argv,
+                                               unbuffered):
+        # the reader of standard output is gone before the command starts:
+        # exit 141, as a shell reports a command ended by SIGPIPE, and
+        # nothing on standard error, whether the write that fails is the
+        # command's own or main()'s flush
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rlat.cli", *argv.split()], cwd=ROOT,
+                env=env, input=(fixdir / "a1.rlat").read_bytes(),
+                stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     @pytest.mark.parametrize("argv, code", [
         ("prop distr-lattice {F}", 1), ("frobnicate", 2),

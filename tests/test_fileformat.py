@@ -293,9 +293,12 @@ class TestNameLimit:
         limit = os.pathconf(tmp_path, "PC_NAME_MAX")
         tree = self.chain(limit - 5)
         out = tmp_path / "deep"
+        out.mkdir()
+        # the root of the other kind, which a written tree would replace
+        (out / "t.rlat").write_text(emit(two(0)), encoding="utf-8")
         with pytest.raises(ValueError, match="limit of %d bytes" % limit):
             write_tree(tree, str(out))
-        assert list(out.iterdir()) == []
+        assert [p.name for p in out.iterdir()] == ["t.rlat"]
 
     def test_writes_names_at_the_limit(self, tmp_path):
         limit = os.pathconf(tmp_path, "PC_NAME_MAX")
