@@ -173,22 +173,20 @@ class FiniteInRL:
         return self.fusion[element_id(x, self.n)][element_id(y, self.n)] == x
 
     @cached_property
-    def lat_up(self):
-        # row x: elements above x in the lattice order, {y : x v y = y}
-        return _eq_masks(self.join, repeat(range(self.n)))
+    def _lat(self):
+        # verdict (x, y): x <= y in the lattice order, x v y = y
+        return _order(self.join, repeat(range(self.n)))
+
+    lat_up = cached_property(lambda self: self._lat[1])
+    lat_dn = cached_property(lambda self: self._lat[2])
 
     @cached_property
-    def lat_dn(self):
-        return _transpose(self.lat_up)
+    def _mon(self):
+        # verdict (x, y): x <= y in the monoidal order, x.y = x
+        return _order(self.fusion, map(repeat, range(self.n)))
 
-    @cached_property
-    def mon_up(self):
-        # row x: elements above x in the monoidal order (x.y = x)
-        return _eq_masks(self.fusion, map(repeat, range(self.n)))
-
-    @cached_property
-    def mon_dn(self):
-        return _transpose(self.mon_up)
+    mon_up = cached_property(lambda self: self._mon[1])
+    mon_dn = cached_property(lambda self: self._mon[2])
 
     @cached_property
     def meet(self):
@@ -221,23 +219,20 @@ class FiniteInRL:
         return _covers(self.mon_up)
 
 
-def _eq_masks(rows, probes):
-    """Row x: the mask of {y : rows[x][y] == probes[x][y]}."""
-    pow2 = [1 << y for y in range(len(rows))]
-    return tuple(sum(compress(pow2, map(eq, row, probe)))
-                 for row, probe in zip(rows, probes))
+_VERDICT = bytes.maketrans(b"\0\1", b"01")
 
 
-def _bit_strings(masks, n):
-    """Each mask as n characters '0'/'1', character y for bit y."""
-    fmt = "0%db" % n
-    return [format(m, fmt)[::-1] for m in masks]
-
-
-def _transpose(rows):
-    """Column y: the mask of {x : bit y of rows[x] is set}."""
-    cols = zip(*_bit_strings(rows, len(rows)))   # column y: bit y by row
-    return tuple(int("".join(col)[::-1], 2) for col in cols)
+def _order(rows, probes):
+    """The verdicts rows[x][y] == probes[x][y] as n*n bytes b"0"/b"1",
+    verdict (x, y) at x*n + y, with the masks of the rows (up-sets) and of
+    the columns (down-sets): bit y of up[x], and bit x of dn[y], is verdict
+    (x, y)."""
+    n = len(rows)
+    flat = b"".join(map(bytes, map(map, repeat(eq), rows, probes)))
+    flat = flat.translate(_VERDICT)
+    return (flat,
+            tuple(int(flat[x:x + n][::-1], 2) for x in range(0, n * n, n)),
+            tuple(int(flat[y::n][::-1], 2) for y in range(n)))
 
 
 def _covers(up):
@@ -303,18 +298,18 @@ def validate(alg):
     x = _first_ne(map(ng.__getitem__, ng), rng)
     rep.add("involution", x is None, (x,))
 
-    # x <= neg y  iff  x.y <= 0  iff  y <= neg x, as rows over y of '0'/'1'
-    # read from the join fixed points: bit v of lat_up[u], and bit u of
-    # lat_dn[v], is whether u v v = v. On one element each read gives a
-    # character, not a tuple, and the three still compare equal.
-    up, dn = _bit_strings(alg.lat_up, n), _bit_strings(alg.lat_dn, n)
-    below_zero = dn[alg.zero]
+    # x <= neg y  iff  x.y <= 0  iff  y <= neg x, as rows over y of the
+    # join's verdicts: verdict (u, v), at u*n + v, is whether u v v = v. On
+    # one element each read gives an int, not a tuple, and the three still
+    # compare equal.
+    flat = alg._lat[0]
+    below_zero = flat[alg.zero::n]
     read_neg, read_all = itemgetter(*ng), itemgetter(*rng)
     w = None
-    for x, (row_up, row_fu) in enumerate(zip(up, fu)):
-        lhs = read_neg(row_up)
+    for x, row_fu in enumerate(fu):
+        lhs = read_neg(flat[x * n:x * n + n])
         prod = itemgetter(*row_fu)(below_zero)
-        rhs = read_all(dn[ng[x]])
+        rhs = read_all(flat[ng[x]::n])
         if not lhs == prod == rhs:
             w = (x, next(y for y in rng
                          if not lhs[y] == prod[y] == rhs[y]))

@@ -27,16 +27,18 @@ class ParseError(Exception):
 
 
 def _grouped_lines(text, allowed):
+    """Key -> [(line number, the line's text after its key)], in line order.
+    The text is split into tokens only where it is read, a row at a time, so
+    a file's tokens are never all held at once."""
     groups = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        key = tokens[0]
+        key = line.split(None, 1)[0]
         if key not in allowed:
             raise ParseError(lineno, "unknown section %r" % key)
-        groups.setdefault(key, []).append((lineno, tokens[1:]))
+        groups.setdefault(key, []).append((lineno, line[len(key):]))
     return groups
 
 
@@ -51,7 +53,8 @@ def parse(text):
             raise ParseError(groups[key][1][0],
                              "duplicate section %r" % key)
 
-    lineno, names = groups["elements"][0]
+    lineno, line = groups["elements"][0]
+    names = line.split()
     if len(set(names)) != len(names):
         raise ParseError(lineno, "duplicate element names")
     index = {name: i for i, name in enumerate(names)}
@@ -64,12 +67,14 @@ def parse(text):
             bad = next(t for t in tokens if t not in index)
             raise ParseError(lineno, "undeclared element %r" % bad) from None
 
-    lineno, tokens = groups["one"][0]
+    lineno, line = groups["one"][0]
+    tokens = line.split()
     if len(tokens) != 1:
         raise ParseError(lineno, "section 'one' needs exactly one token")
     one, = resolve(lineno, tokens)
 
-    lineno, tokens = groups["neg"][0]
+    lineno, line = groups["neg"][0]
+    tokens = line.split()
     if len(tokens) != n:
         raise ParseError(lineno, "section 'neg' needs %d tokens, got %d"
                          % (n, len(tokens)))
@@ -83,7 +88,8 @@ def parse(text):
                              "section %r needs %d rows, got %d"
                              % (key, n, len(rows)))
         table = []
-        for lineno, tokens in rows:
+        for lineno, line in rows:
+            tokens = line.split()
             if len(tokens) != n:
                 raise ParseError(lineno, "row needs %d tokens, got %d"
                                  % (n, len(tokens)))
@@ -118,13 +124,15 @@ def parse_gluing(text):
             raise ParseError(1, "missing section %r" % key)
         if len(groups[key]) > 1:
             raise ParseError(groups[key][1][0], "duplicate section %r" % key)
-        lineno, tokens = groups[key][0]
+        lineno, line = groups[key][0]
+        tokens = line.split()
         if len(tokens) != 1:
             raise ParseError(lineno, "section %r needs exactly one token"
                              % key)
         fields[key] = tokens[0]
     pairs = []
-    for lineno, tokens in groups.get("phi", []):
+    for lineno, line in groups.get("phi", []):
+        tokens = line.split()
         if len(tokens) != 3 or tokens[1] != "->":
             raise ParseError(lineno, "phi lines read 'phi x -> y'")
         pairs.append((tokens[0], tokens[2]))
@@ -194,8 +202,9 @@ def write_tree(tree, outdir):
 
     The root is named TREE_ROOT. A leaf at name p becomes p.rlat; a node
     becomes p.gspec referencing its children p0 and p1. Returns the list of
-    (filename, kind) written, root first, and removes the root file of the
-    other kind. Raises ValueError, and writes or removes no file, when a
+    (filename, kind) written, root first, and removes every file of an
+    earlier tree (TREE_ROOT, then 0s and 1s, .rlat or .gspec) that it does
+    not overwrite. Raises ValueError, and writes or removes no file, when a
     name is longer than the directory can hold.
     """
     from .gluing import Leaf
@@ -211,11 +220,13 @@ def write_tree(tree, outdir):
         raise ValueError("tree too deep: its file names are longer than "
                          "the limit of %d bytes in %s" % (limit, outdir))
     # reassemble reads t.gspec before t.rlat, so a root of the other kind
-    # left by an earlier tree would be read in place of this one
-    stale = os.path.join(outdir, TREE_ROOT + (
-        ".gspec" if isinstance(tree, Leaf) else ".rlat"))
-    if os.path.exists(stale):
-        os.remove(stale)
+    # left by an earlier tree would be read in place of this one, and any
+    # other file of that tree would stay beside this one unreferenced
+    for old in set(os.listdir(outdir)) - {fname(*p) for p in parts}:
+        stem, _, ext = old.rpartition(".")
+        if (ext in ("rlat", "gspec") and stem.startswith(TREE_ROOT)
+                and not stem[len(TREE_ROOT):].strip("01")):
+            os.remove(os.path.join(outdir, old))
     written = []
     for part, name in parts:
         if isinstance(part, Leaf):

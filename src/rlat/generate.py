@@ -12,7 +12,10 @@ from .core import FiniteInRL, int_arg
 # 2-CPU machine with Python 3.11, each in a fresh process, `rlat gen an 254`
 # (n = 1022) took 0.6 s at 70 MB peak RSS (47 MB to build the algebra
 # without writing it), `gen bool 10` 0.5 s at 110 MB (91 MB) and
-# `gen bool 11`, with the cap raised, 1.9 s at 432 MB.
+# `gen bool 11`, with the cap raised, 1.9 s at 432 MB. `rlat check` of the
+# output, which parses a row at a time, took 0.7-0.9 s at 70 MB (an 254)
+# and 0.7-0.8 s at 66 MB (bool 10); holding every line's tokens at once,
+# it took 0.9-1.1 s at 203 and 194 MB.
 SIZE_CAP = 1024
 
 
@@ -70,4 +73,4 @@ def build_an(n):
         tree = Node(None, None, a, b, pairs, tree, Leaf(_block(i + 1)))
     top = "1_%d" % n
     return _glue_tree(Node(None, None, top, "0", ((top, "0"),), tree,
-                           Leaf(boolean_algebra(1))), {})
+                           Leaf(boolean_algebra(1))), None)

@@ -156,7 +156,9 @@ def _glue_tree(tree, labels):
     leaf order. A leaf fills its diagonal block; a node fills the cells
     between its two parts from their own cells, final by then, and primes
     its upper part's names taken below. Rejected names, by labels[id(part)],
-    a leaf that is not a member or a node that fails validate_gluing."""
+    a leaf that is not a member or a node that fails validate_gluing; with
+    labels None the caller built the tree from members and valid specs, and
+    nothing is checked."""
     order = tree._parts()
     n = sum(part.algebra.n for part in order if isinstance(part, Leaf))
     names, neg = [None] * n, [0] * n
@@ -165,7 +167,8 @@ def _glue_tree(tree, labels):
     for part in order:
         if isinstance(part, Leaf):
             alg = part.algebra
-            check_member(alg, labels.get(id(part), "leaf"))
+            if labels is not None:
+                check_member(alg, labels.get(id(part), "leaf"))
             lo = done[-1].lo + done[-1].n if done else 0
             hi = lo + alg.n
             names[lo:hi] = alg.names
@@ -178,11 +181,12 @@ def _glue_tree(tree, labels):
             continue
 
         spec = build_spec(part, done.pop(-2), done.pop())
-        rep = validate_gluing(spec)
-        if not rep.ok:
-            label = labels.get(id(part), "gluing spec")
-            raise Rejected("%s fails %r" % (label, rep.failures()[0][0]),
-                           rep, part)
+        if labels is not None:
+            rep = validate_gluing(spec)
+            if not rep.ok:
+                raise Rejected("%s fails %r" % (
+                    labels.get(id(part), "gluing spec"),
+                    rep.failures()[0][0]), rep, part)
         A, B, a, b, phi = spec.lower, spec.upper, spec.a, spec.b, spec.phi
         lo, mid, hi = A.lo, B.lo, B.lo + B.n
         inv = {y: x for x, y in phi.items()}

@@ -278,6 +278,27 @@ class TestDecomposeReassemble:
             assert find_isomorphism(parse(text), load_algebra(src)) \
                 is not None
 
+    def test_out_removes_every_file_of_an_earlier_tree(self, capsys, a1_path,
+                                                       tmp_path):
+        # a1's tree is five files and boolean_algebra(2)'s the one leaf
+        # t.rlat; files whose names no tree writes stay
+        b_path = tmp_path / "b.rlat"
+        b_path.write_text(invoke(capsys, "gen", "bool", "2")[1],
+                          encoding="utf-8")
+        out = tmp_path / "D"
+        out.mkdir()
+        others = ["notes.txt", "t01.txt", "t0x.rlat", "u0.gspec"]
+        for name in others:
+            (out / name).write_text("kept\n", encoding="utf-8")
+        for src, tree in ((a1_path, ["t.gspec", "t0.gspec", "t00.rlat",
+                                     "t01.rlat", "t1.rlat"]),
+                          (str(b_path), ["t.rlat"])):
+            assert invoke(capsys, "decompose", src, "--out", str(out))[0] == 0
+            assert sorted(p.name for p in out.iterdir()) == \
+                sorted(tree + others)
+        assert all((out / name).read_text(encoding="utf-8") == "kept\n"
+                   for name in others)
+
     def test_reassemble_empty_dir(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))
         assert code == 2

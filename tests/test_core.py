@@ -395,6 +395,17 @@ class TestJoinIrreducibles:
         assert len(_join_irreducibles(build_an(16).lat_dn)) == 37
 
 
+def plain_order(table, probe):
+    """The verdicts table[x][y] == probe(x, y) by plain loops: b"0"/b"1" row
+    by row, and the masks of the rows and of the columns."""
+    rng = range(len(table))
+    verdict = [[table[x][y] == probe(x, y) for y in rng] for x in rng]
+    flat = b"".join(b"1" if v else b"0" for row in verdict for v in row)
+    up = tuple(sum(1 << y for y in rng if verdict[x][y]) for x in rng)
+    dn = tuple(sum(1 << x for x in rng if verdict[x][y]) for y in rng)
+    return flat, up, dn
+
+
 class TestDerived:
     def test_zero_is_negated_unit(self, a1):
         assert a1.zero == a1.neg[a1.one]
@@ -444,6 +455,36 @@ class TestDerived:
             assert alg.meet == [[ng[jn[ng[x]][ng[y]]] for y in rng]
                                 for x in rng]
             assert alg.imp == [[ng[fu[ng[y]][x]] for y in rng] for x in rng]
+
+    def test_order_kernel_matches_plain_loops(self):
+        # the verdict bytes and the row and column masks of both orders on
+        # every table of size 1 and 2 and on seeded one-sided mutants of
+        # members (x.y changed, y.x not), whose row reads and column reads
+        # differ
+        tables = [[list(t[i:i + n]) for i in range(0, n * n, n)]
+                  for n in (1, 2)
+                  for t in itertools.product(range(n), repeat=n * n)]
+        rng = random.Random(11)
+        for alg in (build_an(2), boolean_algebra(4)):
+            n = alg.n
+            for base in (alg.join, alg.fusion):
+                for _ in range(30):
+                    x, y = rng.sample(range(n), 2)
+                    t = [row[:] for row in base]
+                    t[x][y] = rng.choice([v for v in range(n)
+                                          if v != t[y][x]])
+                    tables.append(t)
+        one_sided = 0
+        for t in tables:
+            n = len(t)
+            one_sided += t != [list(col) for col in zip(*t)]
+            alg = FiniteInRL([str(x) for x in range(n)], 0, list(range(n)),
+                             t, t)
+            assert alg._lat == plain_order(t, lambda x, y: y), t
+            assert alg._mon == plain_order(t, lambda x, y: x), t
+            assert (alg.lat_up, alg.lat_dn) == alg._lat[1:]
+            assert (alg.mon_up, alg.mon_dn) == alg._mon[1:]
+        assert (len(tables), one_sided) == (137, 128)
 
     def test_fixture_cover_counts(self, a1):
         assert (len(a1.lat_covers), len(a1.mon_covers)) == (13, 12)
@@ -641,7 +682,7 @@ class TestIsomorphism:
         assert checked == 6
 
     def test_builds_no_order_mask(self):
-        masks = {"lat_up", "lat_dn", "mon_up", "mon_dn"}
+        masks = {"_lat", "_mon", "lat_up", "lat_dn", "mon_up", "mon_dn"}
         for alg in (build_an(3), boolean_algebra(3)):
             a = FiniteInRL(alg.names, alg.one, alg.neg, alg.join, alg.fusion)
             b = relabelled(alg, list(reversed(range(alg.n))))

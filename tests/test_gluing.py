@@ -1,13 +1,16 @@
 import hashlib
+import os
 
 import pytest
 
 from oracles import glued_order_failures, semilattice_distributivity_witness
 from rlat import FiniteInRL, find_isomorphism, validate
+from rlat.core import Rejected
 from rlat.decompose import decompose, find_atoms, reassemble, split
 from rlat.fileformat import load_algebra, write_tree
 from rlat.generate import boolean_algebra, build_an
-from rlat.gluing import GluingSpec, glue, validate_gluing
+from rlat import gluing
+from rlat.gluing import GluingSpec, Leaf, _glue_tree, glue, validate_gluing
 from rlat.props import is_semilinear
 
 
@@ -226,3 +229,99 @@ class TestGluingTheorem:
             assert validate(out).ok
             count += 1
         assert count == 15   # two specs made by hand and 13 splits
+
+
+def replaced(tree, path, new):
+    """tree with new(part) for the part at path, a string of "0" (lower)
+    and "1" (upper) steps from the root."""
+    if not path:
+        return new(tree)
+    side = "lower" if path[0] == "0" else "upper"
+    return tree._replace(**{side: replaced(getattr(tree, side), path[1:],
+                                           new)})
+
+
+def non_member(alg):
+    """alg with fusion cell (1, 1) set to 0, a non-member: on a block,
+    x_i.x_i = 0_i is no longer idempotent."""
+    fusion = [row[:] for row in alg.fusion]
+    fusion[1][1] = 0
+    return FiniteInRL(alg.names, alg.one, alg.neg, alg.join, fusion)
+
+
+def bad_leaf(leaf):
+    return Leaf(non_member(leaf.algebra))
+
+
+def bad_node(node):
+    return node._replace(pairs=node.pairs[:-1])
+
+
+class TestTrustedTrees:
+    """build_an glues a tree it built from members and valid specs and
+    checks nothing; a tree handed in by a caller is checked part by part,
+    and the first failing part in post-order is named."""
+
+    def test_build_an_is_the_checked_glue_of_its_tree(self, monkeypatch):
+        trees = []
+
+        def trusted(tree, labels):
+            assert labels is None
+            trees.append(tree)
+            return _glue_tree(tree, labels)
+
+        monkeypatch.setattr(gluing, "_glue_tree", trusted)
+        for k in range(13):
+            assert build_an(k) == _glue_tree(trees[k], {})
+        monkeypatch.undo()
+        for k in range(65):
+            assert validate(build_an(k)).ok
+
+    # build_an(2)'s decomposition tree, in post-order: t000, t001 (leaves),
+    # t00 (node), t01 (leaf), t0 (node), t1 (leaf), t (node); the message
+    # names the part as reassemble does, and load_algebra puts its file's
+    # path in place of "leaf" and after "gluing spec"
+    LEAF = "t001.rlat", "leaf", "axiom 'fusion idempotent'"
+    SPEC = "gluing spec", "'phi domain is the monoidal up-set of a'"
+
+    @pytest.mark.parametrize("changes, first", [
+        ({"001": bad_leaf}, LEAF),
+        ({"0": bad_node}, ("t0.gspec",) + SPEC),
+        ({"001": bad_leaf, "0": bad_node}, LEAF),
+        ({"00": bad_node, "01": bad_leaf}, ("t00.gspec",) + SPEC),
+    ])
+    def test_checked_trees_name_their_first_failure(self, tmp_path, changes,
+                                                    first):
+        tree = decompose(build_an(2))
+        for path, change in changes.items():
+            tree = replaced(tree, path, change)
+        part, label, failure = first
+        with pytest.raises(Rejected) as caught:
+            reassemble(tree)
+        assert str(caught.value) == "%s fails %s" % (label, failure)
+        write_tree(tree, str(tmp_path))
+        path = os.path.join(os.path.realpath(tmp_path), part)
+        label = path if label == "leaf" else label + " " + path
+        with pytest.raises(Rejected) as caught:
+            load_algebra(str(tmp_path / "t.gspec"))
+        assert str(caught.value) == "%s fails %s" % (label, failure)
+
+    def test_glue_names_its_first_failure(self):
+        alg = build_an(2)
+        spec = split(alg, alg.element("1_2")).spec
+        bad = non_member(spec.lower)
+        phi = dict(list(spec.phi.items())[:-1])
+        cases = [
+            (spec._replace(lower=bad),
+             "lower factor fails axiom 'fusion associative'"),
+            (spec._replace(upper=non_member(spec.upper)),
+             "upper factor fails axiom 'fusion unit'"),
+            (spec._replace(phi=phi),
+             "gluing spec fails 'phi domain is the monoidal up-set of a'"),
+            (spec._replace(lower=bad, phi=phi),
+             "lower factor fails axiom 'fusion associative'"),
+        ]
+        for s, message in cases:
+            with pytest.raises(Rejected) as caught:
+                glue(s)
+            assert str(caught.value) == message
