@@ -2,8 +2,8 @@
 
 Exit codes: 0 success or property holds; 1 axiom/property fails (witness on
 standard output); 2 invalid input or usage; 141, as on SIGPIPE, when
-standard output has no reader. `-` reads an algebra file from standard
-input.
+standard output has no reader. `-` reads standard input: an algebra file,
+or a spec file for `glue`.
 """
 
 import gc
@@ -11,8 +11,8 @@ import os
 import sys
 
 from .core import Rejected, check_member, validate
-from .fileformat import (TREE_ROOT, ParseError, dot_export, emit,
-                         load_algebra, parse, parse_gluing, write_tree)
+from .fileformat import (TREE_ROOT, ParseError, _load, _write_files,
+                         dot_export, emit, write_tree)
 
 # the package: the commands reach every other public name through it, so
 # each loads only the modules of the names it reads
@@ -26,11 +26,9 @@ _PROPS = {
 }
 
 
-def _read_algebra(path):
-    if path == "-":
-        return parse(sys.stdin.read())
+def _read_algebra(path, spec=False):
     try:
-        return load_algebra(path)
+        return _load(path, spec)
     except Rejected as exc:   # a file under a gluing spec: invalid input
         raise ValueError(exc) from None
 
@@ -38,8 +36,7 @@ def _read_algebra(path):
 def _cmd_check(path):
     alg = _read_algebra(path)
     rep = validate(alg)
-    for line in rep.lines(alg.names):
-        print(line)
+    print("\n".join(rep.lines(alg.names)))
     return 0 if rep.ok else 1
 
 
@@ -65,26 +62,7 @@ def _cmd_congruences(path):
 
 
 def _cmd_glue(specfile):
-    if specfile == "-":
-        sf = parse_gluing(sys.stdin.read())
-        base = os.getcwd()
-    else:
-        with open(specfile, "r", encoding="utf-8") as fh:
-            sf = parse_gluing(fh.read())
-        base = os.path.dirname(os.path.realpath(specfile))
-    paths = [os.path.join(base, ref) for ref in (sf.lower_ref, sf.upper_ref)]
-    lower, upper = map(_read_algebra, paths)
-    try:
-        glued = rlat.glue(rlat.build_spec(sf, lower, upper))
-    except Rejected as exc:
-        for line in exc.report.lines():
-            print(line)
-        for role, alg, path in zip(("lower", "upper"), (lower, upper), paths):
-            if exc.subject is alg:
-                print("error: %s operand %s is not a member" % (role, path),
-                      file=sys.stderr)
-        return 1
-    sys.stdout.write(emit(glued))
+    sys.stdout.write(emit(_read_algebra(specfile, spec=True)))
     return 0
 
 
@@ -109,9 +87,8 @@ def _cmd_reassemble(directory):
         if os.path.exists(root):
             sys.stdout.write(emit(_read_algebra(root)))
             return 0
-    print("error: no %s.gspec or %s.rlat in %s"
-          % (TREE_ROOT, TREE_ROOT, directory), file=sys.stderr)
-    return 2
+    raise ValueError("no %s.gspec or %s.rlat in %s"
+                     % (TREE_ROOT, TREE_ROOT, directory))
 
 
 def _cmd_gen(family, number):
@@ -120,16 +97,20 @@ def _cmd_gen(family, number):
     return 0
 
 
+def _is_corpus_file(name):
+    """Whether name is n<size>_<i>.rlat, a file name `rlat enum` writes."""
+    size, _, i = name[1:-len(".rlat")].partition("_")
+    return (name.isascii() and name[0] == "n" and name.endswith(".rlat")
+            and size.isdecimal() and i.isdecimal())
+
+
 def _cmd_enum(maxsize, out):
     corpus = rlat.enumerate_up_to_iso(maxsize)
-    os.makedirs(out, exist_ok=True)
-    index = {}
+    index, files = {}, {}   # i counts from 0 within each size
     for alg in corpus.algebras:
-        i = index.get(alg.n, 0)
-        index[alg.n] = i + 1
-        fname = "n%d_%d.rlat" % (alg.n, i)
-        with open(os.path.join(out, fname), "w", encoding="utf-8") as fh:
-            fh.write(emit(alg))
+        index[alg.n] = i = index.get(alg.n, -1) + 1
+        files["n%d_%d.rlat" % (alg.n, i)] = emit(alg)
+    _write_files(out, files, _is_corpus_file)
     for size in sorted(corpus.counts):
         print("size %d: %d" % (size, corpus.counts[size]))
     return 0
@@ -298,8 +279,7 @@ def run(argv=None):
     except BrokenPipeError:   # the reader of standard output has gone
         raise
     except Rejected as exc:   # the input of the command is not a member
-        for line in exc.report.lines():
-            print(line)
+        print("\n".join(exc.report.lines(exc.subject.names)))
         return 1
     except (ParseError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -10,6 +10,7 @@ decomposition tree on disk reassemblable by loading its root.
 """
 
 import os
+import sys
 from collections import namedtuple
 
 from .core import FiniteInRL
@@ -153,7 +154,7 @@ def emit_gluing(spec_file):
 
 
 def load_algebra(path):
-    """Load an algebra file, or glue a spec file by extension.
+    """Load an algebra file (`-` for standard input), or glue a .gspec file.
 
     A spec file and the files under it are read into a tree of Leaf and
     Node, depth first, lower before upper, from an explicit stack, so a
@@ -163,38 +164,64 @@ def load_algebra(path):
     spec must pass validate_gluing, or ValueError names the file; the glued
     result is then a member and is not checked again.
     """
-    if path.endswith(".gspec"):   # only a spec leads on to other files
+    return _load(path, False)
+
+
+def _load(path, spec):
+    """load_algebra(path), the file at path read as a spec also when spec
+    is true; a spec on standard input refers to the working directory."""
+    if spec or path.endswith(".gspec"):   # only a spec leads to other files
         from .gluing import Leaf, Node, _glue_tree
     labels = {}      # id of a part -> the file it was read from
     nested = set()   # real paths of the specs on the stack
-    stack = []       # (path, real path, spec file, [read lower part])
+    stack = []       # (path, real path, directory, spec file, [lower part])
     while True:
-        real = os.path.realpath(path)
-        if real in nested:
-            raise ParseError(1, "circular reference through %s" % path)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if path.endswith(".gspec"):
+        if path == "-":   # only the first path: the others are joined
+            real, base, text = None, os.getcwd(), sys.stdin.read()
+        else:
+            real = os.path.realpath(path)
+            if real in nested:
+                raise ParseError(1, "circular reference through %s" % path)
+            base = os.path.dirname(real)
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        if path.endswith(".gspec") or spec and not stack:   # the first file
             sf = parse_gluing(text)
             nested.add(real)
-            stack.append((path, real, sf, []))
-            path = os.path.join(os.path.dirname(real), sf.lower_ref)
+            stack.append((path, real, base, sf, []))
+            path = os.path.join(base, sf.lower_ref)
             continue
         if not stack:
             return parse(text)
         part = Leaf(parse(text))
         labels[id(part)] = path
         # part is the upper part of every spec on top whose lower is read
-        while stack and stack[-1][3]:
-            spec_path, spec_real, sf, (lower,) = stack.pop()
+        while stack and stack[-1][4]:
+            spec_path, spec_real, _, sf, (lower,) = stack.pop()
             nested.remove(spec_real)
             part = Node(None, None, sf.a, sf.b, sf.pairs, lower, part)
             labels[id(part)] = "gluing spec " + spec_path
         if not stack:
             return _glue_tree(part, labels)
-        _, spec_real, sf, read = stack[-1]
+        _, _, base, sf, read = stack[-1]
         read.append(part)
-        path = os.path.join(os.path.dirname(spec_real), sf.upper_ref)
+        path = os.path.join(base, sf.upper_ref)
+
+
+def _write_files(outdir, files, stale):
+    """Write files, name -> text, into outdir, made if missing, and remove
+    every other file there whose name stale accepts. Raises ValueError, and
+    writes or removes no file, when a name is longer than outdir can hold."""
+    os.makedirs(outdir, exist_ok=True)
+    limit = os.pathconf(outdir, "PC_NAME_MAX")
+    if max(map(len, files)) > limit:     # ASCII names
+        raise ValueError("tree too deep: its file names are longer than "
+                         "the limit of %d bytes in %s" % (limit, outdir))
+    for old in filter(stale, set(os.listdir(outdir)) - files.keys()):
+        os.remove(os.path.join(outdir, old))
+    for name, text in files.items():
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def write_tree(tree, outdir):
@@ -212,34 +239,23 @@ def write_tree(tree, outdir):
     def fname(part, name):
         return name + (".rlat" if isinstance(part, Leaf) else ".gspec")
 
-    os.makedirs(outdir, exist_ok=True)
-    parts = list(tree._named(TREE_ROOT))
-    # a name grows by one character per level: all are checked first
-    limit = os.pathconf(outdir, "PC_NAME_MAX")
-    if max(len(fname(*p)) for p in parts) > limit:     # ASCII names
-        raise ValueError("tree too deep: its file names are longer than "
-                         "the limit of %d bytes in %s" % (limit, outdir))
-    # reassemble reads t.gspec before t.rlat, so a root of the other kind
-    # left by an earlier tree would be read in place of this one, and any
-    # other file of that tree would stay beside this one unreferenced
-    for old in set(os.listdir(outdir)) - {fname(*p) for p in parts}:
-        stem, _, ext = old.rpartition(".")
-        if (ext in ("rlat", "gspec") and stem.startswith(TREE_ROOT)
-                and not stem[len(TREE_ROOT):].strip("01")):
-            os.remove(os.path.join(outdir, old))
-    written = []
-    for part, name in parts:
-        if isinstance(part, Leaf):
-            kind, text = "leaf", emit(part.algebra)
-        else:
-            kind, text = "node", emit_gluing(GluingSpecFile(
+    files = {}
+    for part, name in tree._named(TREE_ROOT):
+        files[fname(part, name)] = (
+            emit(part.algebra) if isinstance(part, Leaf)
+            else emit_gluing(GluingSpecFile(
                 fname(part.lower, name + "0"), fname(part.upper, name + "1"),
-                part.a, part.b, part.pairs))
-        written.append((fname(part, name), kind))
-        with open(os.path.join(outdir, written[-1][0]), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
-    return written
+                part.a, part.b, part.pairs)))
+
+    def stale(old):
+        # reassemble reads t.gspec before t.rlat, so a root of the other
+        # kind left by an earlier tree would be read in place of this one
+        stem, _, ext = old.rpartition(".")
+        return (ext in ("rlat", "gspec") and stem.startswith(TREE_ROOT)
+                and not stem[len(TREE_ROOT):].strip("01"))
+
+    _write_files(outdir, files, stale)
+    return [(f, "leaf" if f.endswith(".rlat") else "node") for f in files]
 
 
 def _quote(name):

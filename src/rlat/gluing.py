@@ -6,7 +6,7 @@ phi maps the monoidal up-set of a onto the monoidal down-set of b. The glued
 algebra stacks B's monoidal order on top of A's; its unit and zero are B's.
 """
 
-from collections import namedtuple
+from collections import abc, namedtuple
 
 from .core import (FiniteInRL, Rejected, Report, check_member, element_id,
                    is_id)
@@ -70,6 +70,7 @@ def validate_gluing(spec):
     rep = Report()
 
     in_range = (is_id(a, ids_a) and is_id(b, ids_b)
+                and isinstance(phi, abc.Mapping)
                 and all(is_id(x, ids_a) and is_id(y, ids_b)
                         for x, y in phi.items()))
     rep.add("spec references elements of both carriers", in_range)
@@ -134,11 +135,13 @@ def build_spec(spec_file, lower, upper):
 def glue(spec):
     """The glued algebra, the one-node tree of its spec, with the lower
     factor's ids first and then the upper's, shifted by lower.n. Raises
-    ValueError on a, b or phi holding no element id, and Rejected (a
-    ValueError) if a factor is not a member or the spec fails
-    validate_gluing; the result is then a member by the gluing theorem and
-    is not checked again."""
+    ValueError on a phi that is no mapping or a, b or phi holding no element
+    id, and Rejected (a ValueError) if a factor is not a member or the spec
+    fails validate_gluing; the result is then a member by the gluing
+    theorem and is not checked again."""
     A, B = spec.lower, spec.upper
+    if not isinstance(spec.phi, abc.Mapping):
+        raise ValueError("phi must be a mapping, not %r" % (spec.phi,))
 
     def name(alg, x):
         return alg.names[element_id(x, alg.n)]

@@ -164,6 +164,18 @@ class TestElementIdContract:
                     glue(spec)
         assert verdicts.count(True) == 2
 
+    @pytest.mark.parametrize("phi", [[(1, 0)], ((1, 0),), None, 1],
+                             ids=["list", "tuple", "None", "int"])
+    def test_phi_that_is_no_mapping(self, phi):
+        # a list of pairs is what GluingSpecFile.pairs holds, by name
+        spec = two_chain_spec()._replace(phi=phi)
+        with pytest.raises(ValueError, match="phi must be a mapping, not "
+                           + re.escape(repr(phi))):
+            glue(spec)
+        rep = validate_gluing(spec)
+        assert rep.checks == [("spec references elements of both carriers",
+                               False, None)]
+
 
 class TestSizeContract:
     # a size that is no int is named in a ValueError before any other check

@@ -113,7 +113,17 @@ class TestGlue:
             (fixdir / "sample.gspec").read_text(encoding="utf-8")))
         assert invoke(capsys, "glue", "-") == (0, expected, "")
 
-    def test_invalid_spec_exits_one(self, capsys, tmp_path):
+    def test_spec_not_named_gspec(self, capsys, fixdir, tmp_path):
+        # glue reads its argument as a spec whatever its name; the files
+        # under it are still read by extension
+        _, expected, _ = invoke(capsys, "glue", str(fixdir / "sample.gspec"))
+        for name in ("sample_lower.rlat", "sample_upper.rlat"):
+            shutil.copy(fixdir / name, tmp_path / name)
+        shutil.copy(fixdir / "sample.gspec", tmp_path / "sample.txt")
+        assert invoke(capsys, "glue", str(tmp_path / "sample.txt")) \
+            == (0, expected, "")
+
+    def test_invalid_spec_exits_two(self, capsys, tmp_path):
         (tmp_path / "lo.rlat").write_text(emit(boolean_algebra(1)),
                                           encoding="utf-8")
         (tmp_path / "up.rlat").write_text(emit(boolean_algebra(1)),
@@ -121,9 +131,9 @@ class TestGlue:
         spec = tmp_path / "bad.gspec"
         spec.write_text("lower lo.rlat\nupper up.rlat\na 0\nb 0\n"
                         "phi 0 -> 0\nphi 1 -> 0\n", encoding="utf-8")
-        code, out, _ = invoke(capsys, "glue", str(spec))
-        assert code == 1
-        assert "a is not below the lower zero: FAIL" in out
+        assert invoke(capsys, "glue", str(spec)) == (
+            2, "", "error: gluing spec %s fails 'a is not below the lower "
+            "zero'\n" % spec)
 
     @pytest.mark.parametrize("role", ["lower", "upper"])
     def test_non_member_operand_is_named(self, capsys, fixdir, tmp_path,
@@ -140,12 +150,31 @@ class TestGlue:
         assert not rep.ok
         path.write_text(emit(bad), encoding="utf-8")
         spec = str(tmp_path / "sample.gspec")
+        # exit 2 and one line naming the operand's file and first failure
+        assert invoke(capsys, "glue", spec) == (
+            2, "", "error: %s fails axiom %r\n" % (
+                os.path.join(os.path.realpath(tmp_path), path.name),
+                rep.failures()[0][0]))
+
+    # a1's tree: t.gspec over t0.gspec (over t00.rlat, t01.rlat) and t1.rlat
+    @pytest.mark.parametrize("file, edit", [
+        ("t1.rlat", ("fusion 0 1", "fusion 1 1")),
+        ("t00.rlat", ("fusion bot a -a top", "fusion bot a -a -a")),
+        ("t.gspec", ("b 0", "b 1")),
+        ("t0.gspec", ("phi top -> b\n", "")),
+    ], ids=["leaf-depth1", "leaf-depth2", "spec-depth0", "spec-depth1"])
+    def test_glue_and_check_agree(self, capsys, a1_path, tmp_path, file,
+                                  edit):
+        invoke(capsys, "decompose", a1_path, "--out", str(tmp_path))
+        path = tmp_path / file
+        path.write_text(path.read_text(encoding="utf-8").replace(*edit),
+                        encoding="utf-8")
+        spec = str(tmp_path / "t.gspec")
         code, out, err = invoke(capsys, "glue", spec)
-        # the report lines and exit 1 as before, and the operand on stderr
-        assert code == 1
-        assert out == "".join(line + "\n" for line in rep.lines())
-        assert err == "error: %s operand %s is not a member\n" % (
-            role, os.path.join(os.path.realpath(tmp_path), path.name))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and file in err
+        assert err.count("\n") == 1 and "fails" in err
+        assert invoke(capsys, "check", spec) == (code, out, err)
 
     def test_deep_chain_to_missing_file_exits_two(self, capsys, tmp_path):
         # deeper than the interpreter's default recursion limit
@@ -220,18 +249,11 @@ class TestDecomposeReassemble:
                         count += 1
                         path.write_text(emit(bad), encoding="utf-8")
                         for argv in (("reassemble", str(tmp_path)),
-                                     ("check", spec)):
+                                     ("check", spec), ("glue", spec)):
                             code, out, err = invoke(capsys, *argv)
                             assert (code, out) == (2, ""), argv
                             assert err.startswith("error: ")
                             assert leaf in err and "fails axiom" in err
-                        # the upper factor of t.gspec is read directly, and
-                        # a non-member operand of glue is reported on stdout
-                        code, out, err = invoke(capsys, "glue", spec)
-                        if leaf == "t1.rlat":
-                            assert code == 1 and "FAIL" in out
-                        else:
-                            assert code == 2 and leaf in err
             path.write_text(text, encoding="utf-8")
         # every ordered cell (x, y), each other value: 4 + 48 + 48
         assert count == 100
@@ -356,6 +378,26 @@ class TestOneCheckPerInput:
         assert (calls[validate], calls[validate_gluing]) == checks
 
 
+class TestRejectionReport:
+    """A command given a non-member prints rlat check's report, with the
+    algebra's names in the witnesses, and exits 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ("partition",), ("congruences",), ("decompose",),
+        ("prop", "distr-semilattice"), ("prop", "distr-lattice"),
+        ("prop", "semilinear"), ("dot",), ("dot", "--order", "monoidal"),
+    ], ids="-".join)
+    def test_matches_check(self, capsys, fixdir, tmp_path, argv):
+        text = (fixdir / "sample_lower.rlat").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.rlat"
+        bad.write_text(text.replace("join 0_w w -w", "join 0_w 1_w -w"),
+                       encoding="utf-8")
+        code, out, err = invoke(capsys, "check", str(bad))
+        assert (code, err) == (1, "")
+        assert "join commutative: FAIL at (0_w, w)\n" in out
+        assert invoke(capsys, *argv, str(bad)) == (code, out, err)
+
+
 class TestGen:
     def test_an(self, capsys):
         code, out, _ = invoke(capsys, "gen", "an", "2")
@@ -415,6 +457,20 @@ class TestEnum:
             == sorted(p.name for p in tmp_path.glob("n7_*"))
         for p in pinned:
             assert (tmp_path / p.name).read_bytes() == p.read_bytes()
+
+    def test_out_removes_an_earlier_corpus(self, capsys, tmp_path):
+        # files whose names no corpus writes stay
+        others = ["notes.txt", "n4_0.txt", "n4_x.rlat", "m4_0.rlat",
+                  "n_0.rlat", "n4_.rlat", "n4_0_1.rlat", "t.rlat"]
+        for name in others:
+            (tmp_path / name).write_text("kept\n", encoding="utf-8")
+        for size in ("6", "3"):
+            assert invoke(capsys, "enum", size, "--out", str(tmp_path))[0] \
+                == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["n1_0.rlat", "n2_0.rlat", "n3_0.rlat"] + others)
+        assert all((tmp_path / name).read_text(encoding="utf-8") == "kept\n"
+                   for name in others)
 
     def test_out_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import io
 import os
 import sys
 
@@ -147,6 +148,12 @@ class TestLoadAlgebra:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_algebra(str(tmp_path / "absent.rlat"))
+
+    def test_dash_reads_standard_input(self, monkeypatch, fixdir, a1):
+        # `-` has no .gspec extension, so it is read as an algebra file
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            (fixdir / "a1.rlat").read_text(encoding="utf-8")))
+        assert load_algebra("-") == a1
 
     def test_cycle_detected(self, tmp_path):
         loop = tmp_path / "loop.gspec"
