@@ -10,7 +10,7 @@ import gc
 import os
 import sys
 
-from .core import Rejected, check_member, validate
+from .core import Rejected, validate
 from .fileformat import (TREE_ROOT, ParseError, _load, _write_files,
                          dot_export, emit, write_tree)
 
@@ -129,9 +129,7 @@ def _cmd_prop(name, path):
 
 
 def _cmd_dot(path, order):
-    alg = _read_algebra(path)
-    check_member(alg)
-    sys.stdout.write(dot_export(alg, order))
+    sys.stdout.write(dot_export(_read_algebra(path), order))
     return 0
 
 

@@ -9,7 +9,7 @@ each congruence by its generator a.
 
 from collections import namedtuple
 
-from .core import FiniteInRL, bits, check_member, element_id, mask_of
+from .core import _image, bits, check_member, element_id, mask_of
 
 
 class Congruence(namedtuple("Congruence", "relation classes one_class")):
@@ -88,11 +88,4 @@ def quotient(alg, a):
     """
     theta = congruence_from_filter(alg, a)
     cls_of = {x: i for i, cls in enumerate(theta.classes) for x in cls}
-    reps = [cls[0] for cls in theta.classes]
-
-    def table(op):
-        return [[cls_of[op[r][s]] for s in reps] for r in reps]
-
-    return FiniteInRL([alg.names[r] for r in reps], cls_of[alg.one],
-                      [cls_of[alg.neg[r]] for r in reps], table(alg.join),
-                      table(alg.fusion))
+    return _image(alg, [cls[0] for cls in theta.classes], cls_of, alg.one)

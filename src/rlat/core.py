@@ -119,7 +119,7 @@ class FiniteInRL:
         n = self.n
         if n < 1:
             raise ValueError("empty carrier")
-        if not all(isinstance(t, str) and t and not t.isspace() for t in self.names):
+        if not all(isinstance(t, str) and t.split() == [t] for t in self.names):
             raise ValueError("element names must be nonempty tokens")
         if len(set(self.names)) != n:
             raise ValueError("duplicate element names")
@@ -217,6 +217,16 @@ class FiniteInRL:
     @cached_property
     def mon_covers(self):
         return _covers(self.mon_up)
+
+
+def _image(alg, reps, label, one):
+    """alg read at the ids reps, names kept, with unit label[one] and every
+    value relabelled by label, a map from alg's ids onto range(len(reps))."""
+    join, fusion = ([[label[row[s]] for s in reps]
+                     for row in map(table.__getitem__, reps)]
+                    for table in (alg.join, alg.fusion))
+    return FiniteInRL([alg.names[r] for r in reps], label[one],
+                      [label[alg.neg[r]] for r in reps], join, fusion)
 
 
 _VERDICT = bytes.maketrans(b"\0\1", b"01")

@@ -10,7 +10,7 @@ of a decomposition tree is the input on an id set, with its masks ANDed.
 
 from collections import namedtuple
 
-from .core import FiniteInRL, bits, check_member, element_id
+from .core import _image, bits, check_member, element_id
 from .gluing import GluingSpec, Leaf, Node, _glue_tree
 
 
@@ -19,7 +19,9 @@ class SplitResult(namedtuple("SplitResult", "c c_star lower upper spec")):
 
 
 def find_atoms(alg):
-    """Elements of the positive cone covering the unit in the lattice order."""
+    """Elements of the positive cone covering the unit in the lattice order;
+    raises ValueError if alg is not a member."""
+    check_member(alg)
     return _atoms(alg, (1 << alg.n) - 1, alg.one)
 
 
@@ -32,23 +34,18 @@ def _atoms(alg, ids, one):
 def _restrict(alg, ids, one):
     """Subalgebra on the id mask ids with the given unit; names carry over."""
     ids = list(bits(ids))
-    pos = {g: i for i, g in enumerate(ids)}
-    names = [alg.names[g] for g in ids]
-    neg = [pos[alg.neg[g]] for g in ids]
-    join = [[pos[alg.join[x][y]] for y in ids] for x in ids]
-    fusion = [[pos[alg.fusion[x][y]] for y in ids] for x in ids]
-    return FiniteInRL(names, pos[one], neg, join, fusion)
+    return _image(alg, ids, {g: i for i, g in enumerate(ids)}, one)
 
 
 def split(alg, c):
     """Split a member at atom c; raises ValueError on a non-member, a c that
     is no element id or a non-atom."""
     check_member(alg)
-    if element_id(c, alg.n) not in find_atoms(alg):
+    whole = (1 << alg.n) - 1
+    if element_id(c, alg.n) not in _atoms(alg, whole, alg.one):
         raise ValueError("%s is not an atom of the positive cone"
                          % alg.names[c])
-    c_star, lower_ids, upper_ids, a, b, phi = _split(
-        alg, (1 << alg.n) - 1, alg.one, c)
+    c_star, lower_ids, upper_ids, a, b, phi = _split(alg, whole, alg.one, c)
     lower = _restrict(alg, lower_ids, c)
     upper = _restrict(alg, upper_ids, alg.one)
     lo, up, names = lower.index, upper.index, alg.names

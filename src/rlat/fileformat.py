@@ -13,7 +13,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .core import FiniteInRL
+from .core import FiniteInRL, check_member
 
 _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 
@@ -164,7 +164,7 @@ def load_algebra(path):
     spec must pass validate_gluing, or ValueError names the file; the glued
     result is then a member and is not checked again.
     """
-    return _load(path, False)
+    return _load(os.fspath(path), False)
 
 
 def _load(path, spec):
@@ -263,7 +263,9 @@ def _quote(name):
 
 
 def dot_export(alg, order):
-    """DOT digraph of the Hasse covers of the chosen order."""
+    """DOT digraph of the Hasse covers of order, 'lattice' or 'monoidal';
+    raises ValueError if alg is not a member or order is neither."""
+    check_member(alg)
     if order == "lattice":
         covers = alg.lat_covers
     elif order == "monoidal":

@@ -25,21 +25,18 @@ class Partition(namedtuple("Partition", "blocks block_of skeleton")):
 
 
 def block(alg, x):
-    """The Boolean block containing x.
+    """The Boolean block containing x; raises ValueError if alg is not a
+    member or x is no element id. Each call checks alg, while partition
+    checks once for all the blocks."""
+    check_member(alg)
+    x = element_id(x, alg.n)
+    return _block(alg, alg.fusion[x][alg.neg[x]])
 
-    The bottom is computed both as meet(x, neg x) and as fusion(x, neg x);
-    a mismatch means the input tables are corrupted. The meet is the one
-    cell neg(neg x v neg neg x) of De Morgan's formula, not a row of the
-    meet table. Raises ValueError if x is no element id.
-    """
-    ng = alg.neg
-    nx = ng[element_id(x, alg.n)]
-    bottom = ng[alg.join[nx][ng[nx]]]
-    if alg.fusion[x][nx] != bottom:
-        raise ValueError(
-            "block bottom cross-check failed at %s: meet and fusion disagree"
-            % alg.names[x])
-    top = alg.join[x][nx]
+
+def _block(alg, bottom):
+    """The block of a member with the given bottom x.neg x: its top is
+    neg(bottom), the join x v neg x by De Morgan."""
+    top = alg.neg[bottom]
     members = alg.mon_up[bottom] & alg.mon_dn[top]
     return BooleanBlock(bottom, top, tuple(bits(members)))
 
@@ -56,7 +53,7 @@ def partition(alg):
     bottoms = list(map(getitem, alg.fusion, alg.neg))
     skeleton = tuple(sorted(set(bottoms)))
     index = {b: i for i, b in enumerate(skeleton)}
-    return Partition([block(alg, b) for b in skeleton],
+    return Partition(list(map(_block, repeat(alg), skeleton)),
                      list(map(index.__getitem__, bottoms)), skeleton)
 
 

@@ -43,6 +43,20 @@ def sample_spec():
     return build_spec(sf, lower, upper)
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The algebras check_member validates from here on, in call order."""
+    from rlat import core
+    calls, validate = [], core.validate
+
+    def counted(alg):
+        calls.append(alg)
+        return validate(alg)
+
+    monkeypatch.setattr(core, "validate", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def naive4():
     from oracles import naive_enumerate

@@ -15,6 +15,7 @@ from rlat import FiniteInRL, validate
 from rlat.congruence import (congruence_from_filter, congruence_lattice,
                              quotient)
 from rlat.decompose import Leaf, decompose, find_atoms, reassemble, split
+from rlat.fileformat import dot_export
 from rlat.generate import boolean_algebra, build_an
 from rlat.gluing import GluingSpec, glue, validate_gluing
 from rlat.partition import block, partition
@@ -71,6 +72,10 @@ def entry_points(a1):
         "is_distributive_semilattice": is_distributive_semilattice,
         "is_lattice_distributive": is_lattice_distributive,
         "is_semilinear": is_semilinear,
+        "block": lambda m: block(m, g),
+        "find_atoms": find_atoms,
+        "dot_export (lattice)": lambda m: dot_export(m, "lattice"),
+        "dot_export (monoidal)": lambda m: dot_export(m, "monoidal"),
     }
 
 

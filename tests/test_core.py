@@ -32,7 +32,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteInRL(["a", "a"], 0, [0, 1], [[0, 1], [1, 1]],
                        [[0, 0], [0, 1]])
-        for bad in ("", " ", 0):
+        # a name is one token of the file format, which splits lines at
+        # any whitespace str.split() knows, Unicode included
+        for bad in ("", " ", 0, " a", "a b", "a\tb", "a\xa0b", "a\u2028b"):
             with pytest.raises(ValueError, match="nonempty tokens"):
                 FiniteInRL(["a", bad], 0, [0, 1], [[0, 1], [1, 1]],
                            [[0, 0], [0, 1]])

@@ -85,6 +85,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(a1, a1.one)
 
+    def test_validates_once(self, a1, validate_calls):
+        split(a1, a1.element("c"))
+        assert validate_calls == [a1]
+
     @pytest.mark.parametrize("c", [-1, 10, 11])
     def test_id_out_of_range_rejected(self, a1, c):
         with pytest.raises(ValueError, match="no element has id %d" % c):

@@ -141,6 +141,12 @@ class TestLoadAlgebra:
     def test_plain_file(self, fixdir, a1):
         assert load_algebra(str(fixdir / "a1.rlat")) == a1
 
+    def test_path_object(self, fixdir, tmp_path, a1):
+        assert load_algebra(fixdir / "a1.rlat") == a1
+        write_tree(decompose(a1), tmp_path)
+        spec = tmp_path / "t.gspec"
+        assert load_algebra(spec) == load_algebra(str(spec))
+
     def test_recursive_spec(self, fixdir, sample_spec):
         alg = load_algebra(str(fixdir / "sample.gspec"))
         assert alg == glue(sample_spec)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rlat import FiniteInRL
+from rlat.core import Rejected
 from rlat.generate import boolean_algebra, build_an
 from rlat.partition import (BooleanBlock, Partition, block,
                             join_incompatibility_witness, partition)
@@ -79,14 +80,22 @@ class TestBlockStructure:
             assert verify_partition(alg, partition(alg)).ok
 
     def test_block_cross_check(self, a1):
-        # a.-a changed from bot to a: fusion no longer gives the meet
+        # a.-a changed from bot to a: fusion no longer gives the meet, and
+        # block rejects the tables at every x, as partition does
         a, na = a1.element("a"), a1.element("-a")
         fusion = [row[:] for row in a1.fusion]
         fusion[a][na] = fusion[na][a] = a
         bad = FiniteInRL(a1.names, a1.one, a1.neg, a1.join, fusion)
-        with pytest.raises(ValueError, match="cross-check failed at a: "
-                                             "meet and fusion disagree"):
-            block(bad, a)
+        for call in [partition] + [lambda m, x=x: block(m, x)
+                                   for x in range(bad.n)]:
+            with pytest.raises(Rejected, match="^algebra fails axiom "
+                               "'fusion associative'$") as exc:
+                call(bad)
+            assert exc.value.subject is bad
+
+    def test_partition_validates_once(self, a1, validate_calls):
+        partition(a1)
+        assert validate_calls == [a1]
 
 
 class TestBlockArithmetic:
