@@ -69,15 +69,17 @@ def _cmd_glue(specfile):
 def _cmd_decompose(path, out):
     alg = _read_algebra(path)
     tree = rlat.decompose(alg)
+    # the tree is written before anything is printed, so a refused write
+    # prints nothing on standard output
+    written = write_tree(tree, out) if out else []
     for part, name in tree._named(TREE_ROOT):
         if isinstance(part, rlat.Leaf):
             print("leaf %s: %d elements" % (name, part.algebra.n))
         else:
             print("node %s: atom=%s complement=%s a=%s b=%s"
                   % (name, part.atom, part.complement, part.a, part.b))
-    if out:
-        for fname, _ in write_tree(tree, out):
-            print("wrote %s" % fname)
+    for fname, _ in written:
+        print("wrote %s" % fname)
     return 0
 
 

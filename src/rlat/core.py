@@ -108,9 +108,13 @@ def _ids(ids):
 class FiniteInRL:
     """Finite algebra (names, one, neg, join, fusion); immutable once built.
 
-    Structural well-formedness (shapes, int ids in range, distinct names) is
-    enforced here and raises ValueError; the equational axioms are checked
-    separately by validate().
+    The constructor takes its input from outside: it copies names, neg and
+    every row of join and fusion, and checks the structure, raising
+    ValueError: n >= 1 distinct single-token names, one and every neg and
+    table entry an int id in range, n ids in neg and n rows of n ids in
+    each table. FiniteInRL._of takes the tables rlat builds itself, or has
+    parsed and checked line by line, as given. The equational axioms are
+    checked separately by validate().
     """
 
     def __init__(self, names, one, neg, join, fusion):
@@ -146,6 +150,17 @@ class FiniteInRL:
         if type(sum(ids, one)) is not int:
             raise ValueError("element ids must be ints")
         self.index = {name: i for i, name in enumerate(self.names)}
+
+    @classmethod
+    def _of(cls, names, one, neg, join, fusion):
+        """The algebra of lists that no one else holds and that already have
+        the structure the constructor checks; they are kept, not copied or
+        checked."""
+        alg = cls.__new__(cls)
+        alg.names, alg.one, alg.neg = names, one, neg
+        alg.join, alg.fusion, alg.n = join, fusion, len(names)
+        alg.index = {name: i for i, name in enumerate(names)}
+        return alg
 
     def __eq__(self, other):
         if not isinstance(other, FiniteInRL):
@@ -225,8 +240,8 @@ def _image(alg, reps, label, one):
     join, fusion = ([[label[row[s]] for s in reps]
                      for row in map(table.__getitem__, reps)]
                     for table in (alg.join, alg.fusion))
-    return FiniteInRL([alg.names[r] for r in reps], label[one],
-                      [label[alg.neg[r]] for r in reps], join, fusion)
+    return FiniteInRL._of([alg.names[r] for r in reps], label[one],
+                          [label[alg.neg[r]] for r in reps], join, fusion)
 
 
 _VERDICT = bytes.maketrans(b"\0\1", b"01")

@@ -96,7 +96,10 @@ def parse(text):
                                  % (n, len(tokens)))
             table.append(resolve(lineno, tokens))
         tables[key] = table
-    return FiniteInRL(names, one, neg, tables["join"], tables["fusion"])
+    # one resolves, so n >= 1; the names are distinct tokens, and neg and
+    # the n rows of each table hold n resolved ids each: the structure that
+    # FiniteInRL's constructor would check again
+    return FiniteInRL._of(names, one, neg, tables["join"], tables["fusion"])
 
 
 def emit(alg):
@@ -164,7 +167,7 @@ def load_algebra(path):
     spec must pass validate_gluing, or ValueError names the file; the glued
     result is then a member and is not checked again.
     """
-    return _load(os.fspath(path), False)
+    return _load(os.fsdecode(path), False)
 
 
 def _load(path, spec):
@@ -211,12 +214,17 @@ def _load(path, spec):
 def _write_files(outdir, files, stale):
     """Write files, name -> text, into outdir, made if missing, and remove
     every other file there whose name stale accepts. Raises ValueError, and
-    writes or removes no file, when a name is longer than outdir can hold."""
-    os.makedirs(outdir, exist_ok=True)
-    limit = os.pathconf(outdir, "PC_NAME_MAX")
+    makes, writes or removes nothing, when a name is longer than outdir can
+    hold."""
+    # a directory made is on the file system of the nearest one that exists
+    made = outdir
+    while not os.path.exists(made):
+        made = os.path.dirname(made) or os.curdir
+    limit = os.pathconf(made, "PC_NAME_MAX")
     if max(map(len, files)) > limit:     # ASCII names
         raise ValueError("tree too deep: its file names are longer than "
                          "the limit of %d bytes in %s" % (limit, outdir))
+    os.makedirs(outdir, exist_ok=True)
     for old in filter(stale, set(os.listdir(outdir)) - files.keys()):
         os.remove(os.path.join(outdir, old))
     for name, text in files.items():
@@ -254,7 +262,7 @@ def write_tree(tree, outdir):
         return (ext in ("rlat", "gspec") and stem.startswith(TREE_ROOT)
                 and not stem[len(TREE_ROOT):].strip("01"))
 
-    _write_files(outdir, files, stale)
+    _write_files(os.fsdecode(outdir), files, stale)
     return [(f, "leaf" if f.endswith(".rlat") else "node") for f in files]
 
 

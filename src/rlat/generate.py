@@ -6,6 +6,9 @@ the level. The result has 4n+6 elements and is generated by x_0 alone, so
 the family witnesses that one generator does not bound the size.
 """
 
+from itertools import repeat
+from operator import and_, or_
+
 from .core import FiniteInRL, int_arg
 
 # The largest carrier the generators build; memory bounds it, not time. On a
@@ -40,20 +43,24 @@ def boolean_algebra(k):
             return "a%d" % (m.bit_length() - 1)
         return "e%d" % m
 
-    names = [name(m) for m in range(n)]
-    neg = [full ^ m for m in range(n)]
-    join = [[x | y for y in range(n)] for x in range(n)]
-    fusion = [[x & y for y in range(n)] for x in range(n)]
-    return FiniteInRL(names, full, neg, join, fusion)
+    # every cell is read from ids, so each id is one int object, not one
+    # per cell: ints above 256 are not shared by the interpreter
+    ids = list(range(n))
+    join, fusion = ([list(map(ids.__getitem__, map(op, repeat(x), ids)))
+                     for x in ids] for op in (or_, and_))
+    return FiniteInRL._of(list(map(name, ids)), ids[full], ids[::-1], join,
+                          fusion)
 
 
 _FOUR = boolean_algebra(2)   # the tables of every block, built once
 
 
 def _block(i):
-    """Four-element Boolean block with level-i names; bit 0 is x_i."""
-    return FiniteInRL(["0_%d" % i, "x_%d" % i, "-x_%d" % i, "1_%d" % i],
-                      _FOUR.one, _FOUR.neg, _FOUR.join, _FOUR.fusion)
+    """Four-element Boolean block with level-i names; bit 0 is x_i. It
+    shares _FOUR's tables: a block is only ever a leaf that build_an glues,
+    which reads them."""
+    return FiniteInRL._of(["0_%d" % i, "x_%d" % i, "-x_%d" % i, "1_%d" % i],
+                          _FOUR.one, _FOUR.neg, _FOUR.join, _FOUR.fusion)
 
 
 def build_an(n):

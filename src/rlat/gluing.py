@@ -164,6 +164,7 @@ def _glue_tree(tree, labels):
     nothing is checked."""
     order = tree._parts()
     n = sum(part.algebra.n for part in order if isinstance(part, Leaf))
+    ids = list(range(n))         # each id one int object, in every cell
     names, neg = [None] * n, [0] * n
     join, fusion = ([[0] * n for _ in range(n)] for _ in range(2))
     done = []                    # the glued parts, in id order
@@ -174,13 +175,15 @@ def _glue_tree(tree, labels):
                 check_member(alg, labels.get(id(part), "leaf"))
             lo = done[-1].lo + done[-1].n if done else 0
             hi = lo + alg.n
+            shifted = ids[lo:hi]
+            shift = shifted.__getitem__      # v -> lo + v
             names[lo:hi] = alg.names
-            neg[lo:hi] = [lo + v for v in alg.neg]
+            neg[lo:hi] = map(shift, alg.neg)
             for table, rows in ((join, alg.join), (fusion, alg.fusion)):
                 for x, row in enumerate(rows, lo):
-                    table[x][lo:hi] = [lo + v for v in row]
-            done.append(_Part(join, fusion, neg, names, lo + alg.one, lo,
-                              alg.n, dict(zip(alg.names, range(lo, hi)))))
+                    table[x][lo:hi] = map(shift, row)
+            done.append(_Part(join, fusion, neg, names, shift(alg.one), lo,
+                              alg.n, dict(zip(alg.names, shifted))))
             continue
 
         spec = build_spec(part, done.pop(-2), done.pop())
@@ -209,4 +212,4 @@ def _glue_tree(tree, labels):
                 names[y] += "'"
             A.index[names[y]] = y
         done.append(A._replace(one=B.one, n=A.n + B.n))
-    return FiniteInRL(names, done[0].one, neg, join, fusion)
+    return FiniteInRL._of(names, done[0].one, neg, join, fusion)

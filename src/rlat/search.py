@@ -160,8 +160,9 @@ def _orders_for_fusion(n, names, neg, fusion, found):
     join = [list(map(least.get, map(and_, repeat(ux), up))) for ux in up]
     if None in chain.from_iterable(join):
         return                   # some pair has no join
-    # FiniteInRL copies the tables, so fusion stays free to refill
-    alg = FiniteInRL(names, 0, neg, join, fusion)
+    # the fill refills fusion, and every candidate shares names and neg
+    alg = FiniteInRL._of(names[:], 0, neg[:], join,
+                         [row[:] for row in fusion])
     if not validate(alg).ok:
         return
     # The fill meets every shaped labelling of each member, so keeping the

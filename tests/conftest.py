@@ -57,6 +57,21 @@ def validate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The algebras FiniteInRL._of builds from here on, in build order: rlat
+    builds every algebra of its own through it."""
+    from rlat import FiniteInRL
+    algebras, of = [], FiniteInRL._of
+
+    def counted(cls, *tables):
+        algebras.append(of(*tables))
+        return algebras[-1]
+
+    monkeypatch.setattr(FiniteInRL, "_of", classmethod(counted))
+    return algebras
+
+
 @pytest.fixture(scope="session")
 def naive4():
     from oracles import naive_enumerate

@@ -321,6 +321,29 @@ class TestDecomposeReassemble:
         assert all((out / name).read_text(encoding="utf-8") == "kept\n"
                    for name in others)
 
+    def test_refused_out_prints_nothing(self, capsys, a1_path, tmp_path,
+                                        monkeypatch):
+        # a refused --out writes before anything is printed: stdout stays
+        # empty and DIR is left as it was found
+        taken = tmp_path / "file"
+        taken.write_text("kept\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "decompose", a1_path,
+                                "--out", str(taken))
+        assert (code, out) == (2, "") and "File exists" in err
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+        # a1's longest file names, t00.rlat and t01.rlat, are 8 bytes
+        monkeypatch.setattr(os, "pathconf", lambda path, name: 7)
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "t.rlat").write_text("kept\n", encoding="utf-8")
+        for out_dir in (old, tmp_path / "new", tmp_path / "a" / "b"):
+            code, out, err = invoke(capsys, "decompose", a1_path,
+                                    "--out", str(out_dir))
+            assert (code, out) == (2, "") and "tree too deep" in err
+        assert [p.name for p in old.iterdir()] == ["t.rlat"]
+        assert (old / "t.rlat").read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "old"]
+
     def test_reassemble_empty_dir(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))
         assert code == 2

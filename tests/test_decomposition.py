@@ -1,6 +1,6 @@
 import pytest
 
-from rlat import FiniteInRL, validate
+from rlat import validate
 from rlat.core import bits
 from rlat.decompose import Leaf, Node, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra, build_an
@@ -123,15 +123,7 @@ class TestDecompose:
                       for b in partition(alg).blocks}
             assert len(leaves) == len(blocks) and set(leaves) == blocks
 
-    def test_one_algebra_built_per_leaf(self, a1, monkeypatch):
-        built = []
-        init = FiniteInRL.__init__
-
-        def counting(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(FiniteInRL, "__init__", counting)
+    def test_one_algebra_built_per_leaf(self, a1, built):
         for alg, leaves in ((a1, 3), (build_an(16), 18)):
             del built[:]
             tree = decompose(alg)

@@ -147,6 +147,18 @@ class TestLoadAlgebra:
         spec = tmp_path / "t.gspec"
         assert load_algebra(spec) == load_algebra(str(spec))
 
+    def test_bytes_path(self, fixdir, tmp_path, a1):
+        # any path-like object, bytes too, as for open()
+        assert load_algebra(os.fsencode(fixdir / "a1.rlat")) == a1
+        tree = decompose(a1)
+        written = write_tree(tree, str(tmp_path / "s"))
+        assert write_tree(tree, os.fsencode(tmp_path / "b")) == written
+        for name, _ in written:
+            assert ((tmp_path / "b" / name).read_bytes()
+                    == (tmp_path / "s" / name).read_bytes())
+        spec = tmp_path / "b" / "t.gspec"
+        assert load_algebra(os.fsencode(spec)) == load_algebra(str(spec))
+
     def test_recursive_spec(self, fixdir, sample_spec):
         alg = load_algebra(str(fixdir / "sample.gspec"))
         assert alg == glue(sample_spec)

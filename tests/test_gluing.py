@@ -170,17 +170,9 @@ class TestGlue:
 
 class TestGlueTree:
     def test_one_algebra_built_per_tree(self, a1, corpus6, tmp_path,
-                                        monkeypatch):
+                                        built):
         # beyond the leaves it is given or parses, each fold of a tree
         # builds its result and nothing else
-        built = []
-        init = FiniteInRL.__init__
-
-        def counting(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(FiniteInRL, "__init__", counting)
         for k in (0, 1, 5):
             del built[:]
             alg = build_an(k)

@@ -7,7 +7,9 @@ import shutil
 
 import pytest
 
+from rlat import FiniteInRL
 from rlat.cli import run
+from rlat.fileformat import ParseError, parse
 
 COMMANDS = (["check"], ["partition"], ["congruences"], ["decompose"],
             ["prop", "distr-lattice"])
@@ -57,3 +59,21 @@ def test_mutated_fixtures(fixdir, tmp_path, capsys):
         capsys.readouterr()
     # some mutants parse, and some of those fail an axiom or a property
     assert codes == {0, 1, 2}
+
+
+def test_parse_checks_what_the_constructor_checks(fixdir):
+    # parse builds its algebra unchecked (FiniteInRL._of): each mutant it
+    # accepts, the checked constructor accepts too, with the same fields
+    sources = sorted(fixdir.glob("**/*.rlat"))
+    rng = random.Random(21)
+    parsed = 0
+    for _ in range(600):
+        text = mutant(rng.choice(sources).read_text(encoding="utf-8"), rng)
+        try:
+            alg = parse(text)
+        except ParseError:
+            continue
+        parsed += 1
+        assert FiniteInRL(alg.names, alg.one, alg.neg, alg.join,
+                          alg.fusion) == alg, text
+    assert parsed > 30
