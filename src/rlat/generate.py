@@ -12,13 +12,13 @@ from operator import and_, or_
 from .core import FiniteInRL, int_arg
 
 # The largest carrier the generators build; memory bounds it, not time. On a
-# 2-CPU machine with Python 3.11, each in a fresh process, `rlat gen an 254`
-# (n = 1022) took 0.6 s at 70 MB peak RSS (47 MB to build the algebra
-# without writing it), `gen bool 10` 0.5 s at 110 MB (91 MB) and
-# `gen bool 11`, with the cap raised, 1.9 s at 432 MB. `rlat check` of the
-# output, which parses a row at a time, took 0.7-0.9 s at 70 MB (an 254)
-# and 0.7-0.8 s at 66 MB (bool 10); holding every line's tokens at once,
-# it took 0.9-1.1 s at 203 and 194 MB.
+# 2-CPU machine with Python 3.11, each in a fresh process (CPU time, peak
+# RSS), `rlat gen an 254` (n = 1022) took 0.32 s at 63 MB (30 MB to build
+# the algebra without writing it) and `gen bool 10` 0.30 s at 59 MB (31 MB).
+# With the cap raised, `gen bool 11` took 1.0 s at 209 MB and `gen an 510`
+# 1.4 s at 219 MB. `rlat check` of the output, which parses a row at a
+# time, took 0.6 s at 54 MB (an 254) and 50 MB (bool 10), and 2.1-2.6 s at
+# 169-179 MB past the cap.
 SIZE_CAP = 1024
 
 

@@ -59,16 +59,21 @@ def validate_calls(monkeypatch):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The algebras FiniteInRL._of builds from here on, in build order: rlat
-    builds every algebra of its own through it."""
+    """Every FiniteInRL built from here on, in build order, by the checked
+    constructor or by FiniteInRL._of, which rlat builds its own through."""
     from rlat import FiniteInRL
-    algebras, of = [], FiniteInRL._of
+    algebras, init, of = [], FiniteInRL.__init__, FiniteInRL._of
 
-    def counted(cls, *tables):
+    def counted_init(self, *tables):
+        init(self, *tables)
+        algebras.append(self)
+
+    def counted_of(cls, *tables):
         algebras.append(of(*tables))
         return algebras[-1]
 
-    monkeypatch.setattr(FiniteInRL, "_of", classmethod(counted))
+    monkeypatch.setattr(FiniteInRL, "__init__", counted_init)
+    monkeypatch.setattr(FiniteInRL, "_of", classmethod(counted_of))
     return algebras
 
 

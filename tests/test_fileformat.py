@@ -64,8 +64,10 @@ class TestParse:
             parse(TINY + "one 0\n")
 
     def test_duplicate_element_token(self):
-        with pytest.raises(ParseError):
+        # parse's own check: FiniteInRL._of does not check the names again
+        with pytest.raises(ParseError) as exc:
             parse(TINY.replace("elements 0 1", "elements 0 0"))
+        assert str(exc.value) == "line 1: duplicate element names"
 
     def test_unknown_section(self):
         with pytest.raises(ParseError) as exc:
