@@ -11,8 +11,8 @@ import os
 import sys
 
 from .core import Rejected, validate
-from .fileformat import (TREE_ROOT, ParseError, _load, _write_files,
-                         dot_export, emit, write_tree)
+from .fileformat import (TREE_ROOT, _lines, _load, _tree_root, _write_files,
+                         dot_export, write_tree)
 
 # the package: the commands reach every other public name through it, so
 # each loads only the modules of the names it reads
@@ -62,7 +62,7 @@ def _cmd_congruences(path):
 
 
 def _cmd_glue(specfile):
-    sys.stdout.write(emit(_read_algebra(specfile, spec=True)))
+    sys.stdout.writelines(_lines(_read_algebra(specfile, spec=True)))
     return 0
 
 
@@ -71,7 +71,7 @@ def _cmd_decompose(path, out):
     tree = rlat.decompose(alg)
     # the tree is written before anything is printed, so a refused write
     # prints nothing on standard output
-    written = write_tree(tree, out) if out else []
+    written = write_tree(tree, out) if out is not None else []
     for part, name in tree._named(TREE_ROOT):
         if isinstance(part, rlat.Leaf):
             print("leaf %s: %d elements" % (name, part.algebra.n))
@@ -84,18 +84,13 @@ def _cmd_decompose(path, out):
 
 
 def _cmd_reassemble(directory):
-    for ext in (".gspec", ".rlat"):
-        root = os.path.join(directory, TREE_ROOT + ext)
-        if os.path.exists(root):
-            sys.stdout.write(emit(_read_algebra(root)))
-            return 0
-    raise ValueError("no %s.gspec or %s.rlat in %s"
-                     % (TREE_ROOT, TREE_ROOT, directory))
+    sys.stdout.writelines(_lines(_read_algebra(_tree_root(directory))))
+    return 0
 
 
 def _cmd_gen(family, number):
     build = rlat.build_an if family == "an" else rlat.boolean_algebra
-    sys.stdout.write(emit(build(number)))
+    sys.stdout.writelines(_lines(build(number)))
     return 0
 
 
@@ -111,7 +106,7 @@ def _cmd_enum(maxsize, out):
     index, files = {}, {}   # i counts from 0 within each size
     for alg in corpus.algebras:
         index[alg.n] = i = index.get(alg.n, -1) + 1
-        files["n%d_%d.rlat" % (alg.n, i)] = emit(alg)
+        files["n%d_%d.rlat" % (alg.n, i)] = _lines(alg)
     _write_files(out, files, _is_corpus_file)
     for size in sorted(corpus.counts):
         print("size %d: %d" % (size, corpus.counts[size]))
@@ -281,7 +276,7 @@ def run(argv=None):
     except Rejected as exc:   # the input of the command is not a member
         print("\n".join(exc.report.lines(exc.subject.names)))
         return 1
-    except (ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

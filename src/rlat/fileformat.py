@@ -21,7 +21,9 @@ _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 TREE_ROOT = "t"
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
+    """A malformed file; lineno is the number of the line at fault."""
+
     def __init__(self, lineno, message):
         super().__init__("line %d: %s" % (lineno, message))
         self.lineno = lineno
@@ -43,18 +45,23 @@ def _grouped_lines(text, allowed):
     return groups
 
 
+def _section(groups, key):
+    """(line number, text) of the one line of section key."""
+    if key not in groups:
+        raise ParseError(1, "missing section %r" % key)
+    if len(groups[key]) > 1:
+        raise ParseError(groups[key][1][0], "duplicate section %r" % key)
+    return groups[key][0]
+
+
 def parse(text):
     """Algebra file text to FiniteInRL; structural errors carry line numbers."""
     groups = _grouped_lines(text, _SECTIONS)
     for key in _SECTIONS:
         if key not in groups:
             raise ParseError(1, "missing section %r" % key)
-    for key in ("elements", "one", "neg"):
-        if len(groups[key]) > 1:
-            raise ParseError(groups[key][1][0],
-                             "duplicate section %r" % key)
-
-    lineno, line = groups["elements"][0]
+    (lineno, line), one_line, neg_line = [
+        _section(groups, key) for key in ("elements", "one", "neg")]
     names = line.split()
     if len(set(names)) != len(names):
         raise ParseError(lineno, "duplicate element names")
@@ -68,13 +75,13 @@ def parse(text):
             bad = next(t for t in tokens if t not in index)
             raise ParseError(lineno, "undeclared element %r" % bad) from None
 
-    lineno, line = groups["one"][0]
+    lineno, line = one_line
     tokens = line.split()
     if len(tokens) != 1:
         raise ParseError(lineno, "section 'one' needs exactly one token")
     one, = resolve(lineno, tokens)
 
-    lineno, line = groups["neg"][0]
+    lineno, line = neg_line
     tokens = line.split()
     if len(tokens) != n:
         raise ParseError(lineno, "section 'neg' needs %d tokens, got %d"
@@ -104,14 +111,18 @@ def parse(text):
 
 def emit(alg):
     """Canonical text for an algebra: fixed section order, single spaces."""
+    return "".join(_lines(alg))
+
+
+def _lines(alg):
+    """The lines of emit(alg), each made as it is asked for."""
     names = alg.names
-    lines = ["elements " + " ".join(names),
-             "one " + names[alg.one],
-             "neg " + " ".join(map(names.__getitem__, alg.neg))]
-    for key, table in (("join", alg.join), ("fusion", alg.fusion)):
-        for row in table:
-            lines.append(key + " " + " ".join(map(names.__getitem__, row)))
-    return "\n".join(lines) + "\n"
+    yield "elements " + " ".join(names) + "\n"
+    yield "one " + names[alg.one] + "\n"
+    for key, rows in (("neg", [alg.neg]), ("join", alg.join),
+                      ("fusion", alg.fusion)):
+        for row in rows:
+            yield key + " " + " ".join(map(names.__getitem__, row)) + "\n"
 
 
 class GluingSpecFile(namedtuple("GluingSpecFile",
@@ -124,11 +135,7 @@ def parse_gluing(text):
     groups = _grouped_lines(text, ("lower", "upper", "a", "b", "phi"))
     fields = {}
     for key in ("lower", "upper", "a", "b"):
-        if key not in groups:
-            raise ParseError(1, "missing section %r" % key)
-        if len(groups[key]) > 1:
-            raise ParseError(groups[key][1][0], "duplicate section %r" % key)
-        lineno, line = groups[key][0]
+        lineno, line = _section(groups, key)
         tokens = line.split()
         if len(tokens) != 1:
             raise ParseError(lineno, "section %r needs exactly one token"
@@ -147,13 +154,8 @@ def parse_gluing(text):
 
 
 def emit_gluing(spec_file):
-    lines = ["lower " + spec_file.lower_ref,
-             "upper " + spec_file.upper_ref,
-             "a " + spec_file.a,
-             "b " + spec_file.b]
-    for x, y in spec_file.pairs:
-        lines.append("phi %s -> %s" % (x, y))
-    return "\n".join(lines) + "\n"
+    return ("lower %s\nupper %s\na %s\nb %s\n" % spec_file[:4]
+            + "".join("phi %s -> %s\n" % pair for pair in spec_file.pairs))
 
 
 def load_algebra(path):
@@ -212,10 +214,10 @@ def _load(path, spec):
 
 
 def _write_files(outdir, files, stale):
-    """Write files, name -> text, into outdir, made if missing, and remove
-    every other file there whose name stale accepts. Raises ValueError, and
-    makes, writes or removes nothing, when a name is longer than outdir can
-    hold."""
+    """Write files, name -> an iterable of its lines, into outdir, made if
+    missing, and remove every other file there whose name stale accepts.
+    Raises ValueError, and makes, writes or removes nothing, when a name is
+    longer than outdir can hold."""
     # a directory made is on the file system of the nearest one that exists
     made = outdir
     while not os.path.exists(made):
@@ -227,9 +229,9 @@ def _write_files(outdir, files, stale):
     os.makedirs(outdir, exist_ok=True)
     for old in filter(stale, set(os.listdir(outdir)) - files.keys()):
         os.remove(os.path.join(outdir, old))
-    for name, text in files.items():
+    for name, lines in files.items():
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def write_tree(tree, outdir):
@@ -250,13 +252,13 @@ def write_tree(tree, outdir):
     files = {}
     for part, name in tree._named(TREE_ROOT):
         files[fname(part, name)] = (
-            emit(part.algebra) if isinstance(part, Leaf)
-            else emit_gluing(GluingSpecFile(
+            _lines(part.algebra) if isinstance(part, Leaf)
+            else [emit_gluing(GluingSpecFile(
                 fname(part.lower, name + "0"), fname(part.upper, name + "1"),
-                part.a, part.b, part.pairs)))
+                part.a, part.b, part.pairs))])
 
     def stale(old):
-        # reassemble reads t.gspec before t.rlat, so a root of the other
+        # _tree_root reads t.gspec before t.rlat, so a root of the other
         # kind left by an earlier tree would be read in place of this one
         stem, _, ext = old.rpartition(".")
         return (ext in ("rlat", "gspec") and stem.startswith(TREE_ROOT)
@@ -264,6 +266,16 @@ def write_tree(tree, outdir):
 
     _write_files(os.fsdecode(outdir), files, stale)
     return [(f, "leaf" if f.endswith(".rlat") else "node") for f in files]
+
+
+def _tree_root(directory):
+    """The root file of the tree write_tree wrote last into directory."""
+    for ext in (".gspec", ".rlat"):
+        root = os.path.join(directory, TREE_ROOT + ext)
+        if os.path.exists(root):
+            return root
+    raise ValueError("no %s.gspec or %s.rlat in %s"
+                     % (TREE_ROOT, TREE_ROOT, directory))
 
 
 def _quote(name):

@@ -13,12 +13,12 @@ from .core import FiniteInRL, int_arg
 
 # The largest carrier the generators build; memory bounds it, not time. On a
 # 2-CPU machine with Python 3.11, each in a fresh process (CPU time, peak
-# RSS), `rlat gen an 254` (n = 1022) took 0.32 s at 63 MB (30 MB to build
-# the algebra without writing it) and `gen bool 10` 0.30 s at 59 MB (31 MB).
-# With the cap raised, `gen bool 11` took 1.0 s at 209 MB and `gen an 510`
-# 1.4 s at 219 MB. `rlat check` of the output, which parses a row at a
-# time, took 0.6 s at 54 MB (an 254) and 50 MB (bool 10), and 2.1-2.6 s at
-# 169-179 MB past the cap.
+# RSS), `rlat gen an 254` (n = 1022) took 0.30 s at 30 MB and `gen bool 10`
+# 0.26 s at 31 MB, the peak of the tables, since `gen` writes the file a
+# line at a time. With the cap raised, `gen bool 11` took 1.1 s at 85 MB
+# and `gen an 510` 1.4 s at 79 MB. `rlat check` of the output, which parses
+# a row at a time, took 0.6 s at 54 MB (an 254) and 50 MB (bool 10), and
+# 2.6 s at 169-179 MB past the cap.
 SIZE_CAP = 1024
 
 

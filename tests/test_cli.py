@@ -344,6 +344,17 @@ class TestDecomposeReassemble:
         assert (old / "t.rlat").read_text(encoding="utf-8") == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "old"]
 
+    @pytest.mark.parametrize("argv", [("decompose", "{F}", "--out", ""),
+                                      ("enum", "2", "--out", "")])
+    def test_empty_out_refused(self, capsys, a1_path, tmp_path, monkeypatch,
+                               argv):
+        # an empty --out is a directory name that cannot be made
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *(a.format(F=a1_path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_reassemble_empty_dir(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))
         assert code == 2

@@ -87,6 +87,26 @@ class TestParse:
             parse(TINY.replace(old, new))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        # every missing section is reported before any duplicate
+        (TINY.replace("fusion 0 0\nfusion 0 1\n", "") + "one 0\n",
+         "line 1: missing section 'fusion'"),
+        # a duplicate section before any fault within a section
+        (TINY.replace("one 1", "one 1 0") + "neg 1 0\n",
+         "line 8: duplicate section 'neg'"),
+    ])
+    def test_fault_order(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    def test_malformed_file_is_value_error(self, tmp_path):
+        path = tmp_path / "bad.rlat"
+        path.write_text(TINY.replace("neg 1 0", "neg 1"), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_algebra(path)
+        assert exc.value.lineno == 3
+
 
 class TestGluingSpecFile:
     def test_round_trip_fixture_bytes(self, fixdir):
@@ -108,6 +128,9 @@ class TestGluingSpecFile:
     @pytest.mark.parametrize("text, message", [
         ("lower x\nupper y\na a\nb b\nlower z\nphi a -> b\n",
          "line 5: duplicate section 'lower'"),
+        # each section is read in turn: lower twice before upper missing
+        ("lower x\nlower y\na a\nb b\nphi a -> b\n",
+         "line 2: duplicate section 'lower'"),
         ("lower x\nupper y\na a c\nb b\nphi a -> b\n",
          "line 3: section 'a' needs exactly one token"),
         ("lower x\nupper y\na a\nb b\n", "line 1: missing section 'phi'"),
@@ -116,6 +139,11 @@ class TestGluingSpecFile:
         with pytest.raises(ParseError) as exc:
             parse_gluing(text)
         assert str(exc.value) == message
+
+    def test_malformed_spec_is_value_error(self):
+        with pytest.raises(ValueError) as exc:
+            parse_gluing("lower x\nupper y\na a\nb b\nphi a b\n")
+        assert exc.value.lineno == 5
 
     def test_malformed_pair(self):
         with pytest.raises(ParseError):
