@@ -11,7 +11,7 @@ import os
 import sys
 
 from .core import Rejected, validate
-from .fileformat import (TREE_ROOT, _lines, _load, _tree_root, _write_files,
+from .fileformat import (_lines, _load, _load_tree, _stems, _write_corpus,
                          dot_export, write_tree)
 
 # the package: the commands reach every other public name through it, so
@@ -72,19 +72,23 @@ def _cmd_decompose(path, out):
     # the tree is written before anything is printed, so a refused write
     # prints nothing on standard output
     written = write_tree(tree, out) if out is not None else []
-    for part, name in tree._named(TREE_ROOT):
+    for part, stem in _stems(tree):
         if isinstance(part, rlat.Leaf):
-            print("leaf %s: %d elements" % (name, part.algebra.n))
+            print("leaf %s: %d elements" % (stem, part.algebra.n))
         else:
             print("node %s: atom=%s complement=%s a=%s b=%s"
-                  % (name, part.atom, part.complement, part.a, part.b))
+                  % (stem, part.atom, part.complement, part.a, part.b))
     for fname, _ in written:
         print("wrote %s" % fname)
     return 0
 
 
 def _cmd_reassemble(directory):
-    sys.stdout.writelines(_lines(_read_algebra(_tree_root(directory))))
+    try:
+        alg = _load_tree(directory)
+    except Rejected as exc:   # a file of the tree: invalid input
+        raise ValueError(exc) from None
+    sys.stdout.writelines(_lines(alg))
     return 0
 
 
@@ -94,20 +98,9 @@ def _cmd_gen(family, number):
     return 0
 
 
-def _is_corpus_file(name):
-    """Whether name is n<size>_<i>.rlat, a file name `rlat enum` writes."""
-    size, _, i = name[1:-len(".rlat")].partition("_")
-    return (name.isascii() and name[0] == "n" and name.endswith(".rlat")
-            and size.isdecimal() and i.isdecimal())
-
-
 def _cmd_enum(maxsize, out):
     corpus = rlat.enumerate_up_to_iso(maxsize)
-    index, files = {}, {}   # i counts from 0 within each size
-    for alg in corpus.algebras:
-        index[alg.n] = i = index.get(alg.n, -1) + 1
-        files["n%d_%d.rlat" % (alg.n, i)] = _lines(alg)
-    _write_files(out, files, _is_corpus_file)
+    _write_corpus(out, corpus.algebras)
     for size in sorted(corpus.counts):
         print("size %d: %d" % (size, corpus.counts[size]))
     return 0

@@ -85,13 +85,9 @@ def decompose(alg):
     leaf; every other leaf is one restriction of alg.
     """
     check_member(alg)
-    return _decompose(alg, (1 << alg.n) - 1, alg.one)
-
-
-def _decompose(alg, ids, one):
-    """Split parts root first from a stack, then build the tree backwards."""
+    # parts are split root first from a stack; the tree is built backwards
     names, whole = alg.names, (1 << alg.n) - 1
-    order, todo = [], [(ids, one)]
+    order, todo = [], [(whole, alg.one)]
     while todo:                  # a part, then its lower and upper parts
         ids, one = todo.pop()
         atoms = _atoms(alg, ids, one)

@@ -7,6 +7,10 @@ with `#` are ignored. A gluing spec file references two other files (paths
 are resolved relative to the spec file) and lists the connecting map as
 `phi x -> y` lines; a referenced file may itself be a spec, which makes a
 decomposition tree on disk reassemblable by loading its root.
+
+Two directory layouts are written here and nowhere else: a decomposition
+tree (write_tree; root t, then 0 for a lower part and 1 for an upper) and
+an enumerated corpus (n<size>_<i>.rlat).
 """
 
 import os
@@ -234,6 +238,23 @@ def _write_files(outdir, files, stale):
             fh.writelines(lines)
 
 
+def _write_corpus(outdir, algebras):
+    """Write algebras into outdir as n<size>_<i>.rlat, i counting from 0
+    within each size, by _write_files, which removes every other file there
+    of that name form."""
+    index, files = {}, {}
+    for alg in algebras:
+        index[alg.n] = i = index.get(alg.n, -1) + 1
+        files["n%d_%d.rlat" % (alg.n, i)] = _lines(alg)
+
+    def stale(old):
+        size, _, i = old[1:-len(".rlat")].partition("_")
+        return (old.isascii() and old[0] == "n" and old.endswith(".rlat")
+                and size.isdecimal() and i.isdecimal())
+
+    _write_files(outdir, files, stale)
+
+
 def write_tree(tree, outdir):
     """Write a decomposition tree as one file per leaf and per node.
 
@@ -246,20 +267,21 @@ def write_tree(tree, outdir):
     """
     from .gluing import Leaf
 
-    def fname(part, name):
-        return name + (".rlat" if isinstance(part, Leaf) else ".gspec")
+    def fname(part, stem):
+        return stem + (".rlat" if isinstance(part, Leaf) else ".gspec")
 
     files = {}
-    for part, name in tree._named(TREE_ROOT):
-        files[fname(part, name)] = (
+    for part, stem in _stems(tree):
+        files[fname(part, stem)] = (
             _lines(part.algebra) if isinstance(part, Leaf)
             else [emit_gluing(GluingSpecFile(
-                fname(part.lower, name + "0"), fname(part.upper, name + "1"),
+                fname(part.lower, stem + "0"), fname(part.upper, stem + "1"),
                 part.a, part.b, part.pairs))])
 
     def stale(old):
-        # _tree_root reads t.gspec before t.rlat, so a root of the other
-        # kind left by an earlier tree would be read in place of this one
+        # every stem _stems can give; _load_tree reads t.gspec before
+        # t.rlat, so a root of the other kind left by an earlier tree would
+        # be read in place of this one
         stem, _, ext = old.rpartition(".")
         return (ext in ("rlat", "gspec") and stem.startswith(TREE_ROOT)
                 and not stem[len(TREE_ROOT):].strip("01"))
@@ -268,12 +290,30 @@ def write_tree(tree, outdir):
     return [(f, "leaf" if f.endswith(".rlat") else "node") for f in files]
 
 
-def _tree_root(directory):
-    """The root file of the tree write_tree wrote last into directory."""
+def _stems(tree):
+    """Every part of tree with its file stem, root first: the root is
+    TREE_ROOT, and a node comes before its lower subtree (its stem + "0")
+    and then its upper (its stem + "1")."""
+    from .gluing import Leaf
+    todo = [(tree, TREE_ROOT)]
+    while todo:
+        part, stem = todo.pop()
+        yield part, stem
+        if not isinstance(part, Leaf):
+            todo += ((part.upper, stem + "1"), (part.lower, stem + "0"))
+
+
+def _load_tree(directory):
+    """The algebra of the tree write_tree wrote last into directory, read
+    from its root. A one-leaf tree's root, t.rlat, must be a member, as
+    every leaf under a t.gspec must, or Rejected names its real path."""
     for ext in (".gspec", ".rlat"):
         root = os.path.join(directory, TREE_ROOT + ext)
         if os.path.exists(root):
-            return root
+            alg = _load(root, False)
+            if ext == ".rlat":   # no spec checks it
+                check_member(alg, os.path.realpath(root))
+            return alg
     raise ValueError("no %s.gspec or %s.rlat in %s"
                      % (TREE_ROOT, TREE_ROOT, directory))
 

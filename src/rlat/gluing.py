@@ -34,16 +34,6 @@ class DecompositionTree:
                 todo += (order[-1].lower, order[-1].upper)
         return order[::-1]
 
-    def _named(self, name):
-        """Every part with its name, root first, each node before its lower
-        subtree (named name + "0") and then its upper (name + "1")."""
-        todo = [(self, name)]
-        while todo:
-            part, name = todo.pop()
-            yield part, name
-            if isinstance(part, Node):
-                todo += ((part.upper, name + "1"), (part.lower, name + "0"))
-
 
 class Leaf(namedtuple("Leaf", "algebra"), DecompositionTree):
     __slots__ = ()

@@ -27,7 +27,9 @@ def corpus6():
 def corpus7(corpus6):
     """The members of size <= 7 up to isomorphism: the size-6 corpus and
     the four members of size 7 that `rlat enum 7 --out` writes (files
-    n7_0..n7_3), kept as files because enumerating size 7 takes seconds."""
+    n7_0..n7_3). They stay files, though enumerating size 7 takes well
+    under a second, because they are the pinned output of `rlat enum 7`
+    that TestEnum in test_cli.py compares byte for byte."""
     sevens = sorted((FIXTURES / "size7").glob("n7_*.rlat"))
     return list(corpus6.algebras) + [load_algebra(str(p)) for p in sevens]
 

@@ -355,6 +355,37 @@ class TestDecomposeReassemble:
         assert err == "error: [Errno 2] No such file or directory: ''\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_leaf_non_member_exits_two(self, capsys, fixdir, tmp_path):
+        # a one-cell change of join, as a tree's only file: refused as a
+        # non-member leaf under t.gspec is, with nothing on stdout
+        text = (fixdir / "sample_lower.rlat").read_text(encoding="utf-8")
+        root = tmp_path / "t.rlat"
+        root.write_text(text.replace("\njoin 0_w w -w", "\njoin 0_w 1_w -w"),
+                        encoding="utf-8")
+        assert invoke(capsys, "check", str(root))[0] == 1
+        code, out, err = invoke(capsys, "reassemble", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: %s fails axiom 'join commutative'\n" \
+            % os.path.realpath(root)
+
+    @pytest.mark.parametrize("make", [lambda a1: a1,
+                                      lambda a1: build_an(3),
+                                      lambda a1: boolean_algebra(2)],
+                             ids=["a1", "an3", "bool2"])
+    def test_printed_stems_are_the_files_written(self, capsys, a1, tmp_path,
+                                                 make):
+        src, out_dir = tmp_path / "alg.rlat", tmp_path / "D"
+        src.write_text(emit(make(a1)), encoding="utf-8")
+        code, out, err = invoke(capsys, "decompose", str(src),
+                                "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        lines = [line.split() for line in out.splitlines()]
+        files = sorted(p.name for p in out_dir.iterdir())
+        assert sorted(w[1] for w in lines if w[0] == "wrote") == files
+        assert sorted(w[1].rstrip(":") for w in lines
+                      if w[0] in ("leaf", "node")) \
+            == sorted(name.rpartition(".")[0] for name in files)
+
     def test_reassemble_empty_dir(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "reassemble", str(tmp_path))
         assert code == 2
