@@ -188,9 +188,14 @@ class FiniteInRL:
         return self.fusion[element_id(x, self.n)][element_id(y, self.n)] == x
 
     @cached_property
+    def _rows(self):
+        # join and fusion as the kernels read them, made once per algebra
+        return _rows_of(self.join), _rows_of(self.fusion)
+
+    @cached_property
     def _lat(self):
         # verdict (x, y): x <= y in the lattice order, x v y = y
-        return _order(self.join, repeat(range(self.n)))
+        return _order(self._rows[0], False)
 
     lat_up = cached_property(lambda self: self._lat[1])
     lat_dn = cached_property(lambda self: self._lat[2])
@@ -198,7 +203,7 @@ class FiniteInRL:
     @cached_property
     def _mon(self):
         # verdict (x, y): x <= y in the monoidal order, x.y = x
-        return _order(self.fusion, map(repeat, range(self.n)))
+        return _order(self._rows[1], True)
 
     mon_up = cached_property(lambda self: self._mon[1])
     mon_dn = cached_property(lambda self: self._mon[2])
@@ -244,17 +249,70 @@ def _image(alg, reps, label, one):
                           [label[alg.neg[r]] for r in reps], join, fusion)
 
 
-_VERDICT = bytes.maketrans(b"\0\1", b"01")
+# Up to this many elements every id fits in a byte, and the kernels read
+# the tables as bytes; above it, as lists.
+_BYTE_IDS = 256
 
 
-def _order(rows, probes):
-    """The verdicts rows[x][y] == probes[x][y] as n*n bytes b"0"/b"1",
-    verdict (x, y) at x*n + y, with the masks of the rows (up-sets) and of
-    the columns (down-sets): bit y of up[x], and bit x of dn[y], is verdict
-    (x, y)."""
+def _rows_of(table):
+    """The rows of an n x n table as the kernels read them: bytes when every
+    id fits in a byte, n <= _BYTE_IDS; the lists otherwise."""
+    return list(map(bytes, table)) if len(table) <= _BYTE_IDS else table
+
+
+def _gather(rows):
+    """The one step the kernels fork on, for rows as _rows_of gives them:
+    (tables, read, cat). read(ids) is the function that reads a row of
+    tables at the ids in one C call, and cat joins rows or what read
+    returns. Bytes are read by bytes.translate, whose table is the row
+    padded to 256 bytes; lists by itemgetter, into tuples."""
+    if isinstance(rows[0], bytes):
+        return ([row.ljust(256) for row in rows],
+                lambda ids: bytes(ids).translate, b"".join)
+    return (rows, lambda ids: itemgetter(*ids),
+            lambda parts: tuple(chain.from_iterable(parts)))
+
+
+def _read_cells(rows, values):
+    """The bytes values read at every cell of rows, as n*n bytes: one
+    translate of the joined rows, or one itemgetter per list row. On one
+    element the one cell is id 0, read without an itemgetter, which would
+    return an int for one id."""
+    if isinstance(rows[0], bytes):
+        return b"".join(rows).translate(values.ljust(256))
+    if len(rows) == 1:
+        return values
+    return b"".join([bytes(itemgetter(*row)(values)) for row in rows])
+
+
+def _columns(flat, ids, n):
+    """The columns ids of the n x n bytes flat, joined: the transpose of
+    flat for ids = range(n)."""
+    return b"".join(map(flat.__getitem__,
+                        map(slice, ids, repeat(None), repeat(n))))
+
+
+_SAME = b"1" + b"0" * 255       # translates a zero byte to b"1", others to b"0"
+
+
+def _order(rows, by_row):
+    """The verdicts rows[x][y] == (x if by_row else y) as n*n bytes
+    b"0"/b"1", verdict (x, y) at x*n + y, with the masks of the rows
+    (up-sets) and of the columns (down-sets): bit y of up[x], and bit x of
+    dn[y], is verdict (x, y). Bytes rows are XORed with the probe as one
+    int, lists compared with it cell by cell; either way a zero byte, the
+    same id, is one translate away from its verdict."""
     n = len(rows)
-    flat = b"".join(map(bytes, map(map, repeat(eq), rows, probes)))
-    flat = flat.translate(_VERDICT)
+    if isinstance(rows[0], bytes):
+        probe = bytes(range(n)) * n
+        if by_row:
+            probe = _columns(probe, range(n), n)
+        diff = (int.from_bytes(b"".join(rows), "big")
+                ^ int.from_bytes(probe, "big")).to_bytes(n * n, "big")
+    else:
+        probes = map(repeat, range(n)) if by_row else repeat(range(n))
+        diff = b"".join(map(bytes, map(map, repeat(ne), rows, probes)))
+    flat = diff.translate(_SAME)
     return (flat,
             tuple(int(flat[x:x + n][::-1], 2) for x in range(0, n * n, n)),
             tuple(int(flat[y::n][::-1], 2) for y in range(n)))
@@ -277,12 +335,17 @@ def validate(alg):
 
     The first failing tuple (by element index, scanned lexicographically) is
     recorded per axiom. All checks passing certifies membership in the class.
-    Each check compares whole rows inside operator and itertools code: the
+    Each check compares whole rows, or whole n*n bytes, in C: the
     interpreter loops over rows, never over tuples, and searches cell by
     cell only the first row that differs, so the witness is the first
-    failing tuple. Associativity is decided by O(n^2) bitmask checks and
-    distributivity follows from the other nine axioms. When some axiom
-    fails, associativity's O(n^3) row scan runs to name its witness.
+    failing tuple. Up to 256 elements every id fits in a byte: join and
+    fusion are read once per algebra as bytes, the order verdicts are one
+    XOR and one translate, residuation compares three n*n bytes of
+    verdicts, and each row of a witness scan is a translate and a join of
+    rows. Above 256 the scans read the lists by itemgetter (_gather).
+    Associativity is decided by O(n^2) bitmask checks and distributivity
+    follows from the other nine axioms. When some axiom fails,
+    associativity's O(n^3) row scan runs to name its witness.
     Distributivity's is named by testing each fusion row against the join
     only at the join-irreducible elements, O(n |J|) per row, and scanning
     in full only the first row that fails; when join is not a semilattice
@@ -291,6 +354,7 @@ def validate(alg):
     """
     n = alg.n
     jn, fu, ng = alg.join, alg.fusion, alg.neg
+    jr, fr = alg._rows
     rng = range(n)
     rep = Report()
 
@@ -303,7 +367,7 @@ def validate(alg):
     idem = first_idempotence_failure(jn)
     join_ok = (comm is None and idem is None
                and _is_mask_homomorphism(jn, alg.lat_up, and_))
-    w = None if join_ok else _first_associativity_failure(jn)
+    w = None if join_ok else _first_associativity_failure(jr)
     rep.add("join commutative", comm is None, comm)
     rep.add("join associative", w is None, w)
     rep.add("join idempotent", idem is None, idem)
@@ -313,7 +377,7 @@ def validate(alg):
     idem = first_idempotence_failure(fu)
     semilattice = (comm is None and idem is None
                    and _is_mask_homomorphism(fu, alg.mon_dn, and_))
-    w = None if semilattice else _first_associativity_failure(fu)
+    w = None if semilattice else _first_associativity_failure(fr)
     rep.add("fusion commutative", comm is None, comm)
     rep.add("fusion associative", w is None, w)
     x = _first_ne(fu[alg.one], rng)
@@ -323,22 +387,16 @@ def validate(alg):
     x = _first_ne(map(ng.__getitem__, ng), rng)
     rep.add("involution", x is None, (x,))
 
-    # x <= neg y  iff  x.y <= 0  iff  y <= neg x, as rows over y of the
-    # join's verdicts: verdict (u, v), at u*n + v, is whether u v v = v. On
-    # one element each read gives an int, not a tuple, and the three still
-    # compare equal.
+    # x <= neg y  iff  x.y <= 0  iff  y <= neg x, each as n*n bytes of the
+    # join's verdicts, (x, y) at x*n + y: the columns at neg, whose row x is
+    # verdict (y, neg x), their transpose, verdict (x, neg y), and the
+    # column of 0 read through fusion, verdict (x.y, 0)
     flat = alg._lat[0]
-    below_zero = flat[alg.zero::n]
-    read_neg, read_all = itemgetter(*ng), itemgetter(*rng)
-    w = None
-    for x, row_fu in enumerate(fu):
-        lhs = read_neg(flat[x * n:x * n + n])
-        prod = itemgetter(*row_fu)(below_zero)
-        rhs = read_all(flat[ng[x]::n])
-        if not lhs == prod == rhs:
-            w = (x, next(y for y in rng
-                         if not lhs[y] == prod[y] == rhs[y]))
-            break
+    rhs = _columns(flat, ng, n)
+    lhs = _columns(rhs, rng, n)
+    prod = _read_cells(fr, flat[alg.zero::n])
+    w = None if lhs == prod == rhs else divmod(
+        _first_ne(zip(lhs, prod), zip(prod, rhs)), n)
     rep.add("residuation", w is None, w)
 
     if rep.ok:
@@ -353,10 +411,10 @@ def validate(alg):
         # x.y <= u and x.z <= u iff x.y v x.z <= u, for every u.
         w = None
     elif join_ok:
-        w = _first_join_failure(fu, jn, alg.lat_dn)
+        w = _first_join_failure(fr, jr, alg.lat_dn)
     else:
         # the one algebra of size 1 passes every axiom, so never gets here
-        w = _first_distributivity_failure(fu, jn, rng)
+        w = _first_distributivity_failure(fr, jr, rng)
     rep.add("fusion distributes over join", w is None, w)
     return rep
 
@@ -384,21 +442,23 @@ def _first_flat_difference(rows, others, xs, ys, zs):
 
 def _first_distributivity_failure(op, jn, zs, start=0):
     """The first (x, y, z) with x >= start, y any id and z in zs, in scan
-    order, with op[x][jn[y][z]] != jn[op[x][y]][op[x][z]], or None.
+    order, with op[x][jn[y][z]] != jn[op[x][y]][op[x][z]], or None, for the
+    rows of op and jn as _rows_of gives them.
 
     Row x over (y, z): op[x] read at the joins jn[y][z] against the rows
-    jn[op[x][y]] read at op[x][z], each read in C. zs holds two or more
-    ids, so each itemgetter of zs returns a tuple.
+    jn[op[x][y]] read at op[x][z], joined; each read is one C call, a
+    translate on bytes. zs holds two or more ids, so on lists each
+    itemgetter of zs returns a tuple.
     """
-    read_zs = itemgetter(*zs)
-    read_jn = itemgetter(*chain.from_iterable(map(read_zs, jn)))
-    rows = op[start:]
+    tables, read, cat = _gather(op)
+    jn_tables = _gather(jn)[0]
+    read_zs = read(zs)
+    read_jn = read(cat(map(read_zs, jn_tables)))
     rng = range(len(jn))
     return _first_flat_difference(
-        map(read_jn, rows),
-        (tuple(chain.from_iterable(
-            map(itemgetter(*read_zs(row)), map(jn.__getitem__, row))))
-         for row in rows), rng[start:], rng, zs)
+        map(read_jn, tables[start:]),
+        (cat(map(read(read_zs(t)), map(jn_tables.__getitem__, row)))
+         for row, t in zip(op[start:], tables[start:])), rng[start:], rng, zs)
 
 
 def _join_irreducibles(dn):
@@ -428,18 +488,21 @@ def _first_join_failure(op, jn, dn):
     return w and _first_distributivity_failure(op, jn, range(len(jn)), w[0])
 
 
-def _first_associativity_failure(t):
-    """The first (x, y, z) with t[t[x][y]][z] != t[x][t[y][z]], or None.
+def _first_associativity_failure(rows):
+    """The first (x, y, z) with t[t[x][y]][z] != t[x][t[y][z]], or None, for
+    the rows of t as _rows_of gives them.
 
-    Row x over (y, z): the rows t[t[x][y]] against t[x] read through t.
-    The one table of size 1 is a semilattice and never gets here, so the
-    itemgetter has two or more indexes and returns a tuple.
+    Row x over (y, z): the rows t[t[x][y]] joined, against the cells of t
+    read through row x, one translate on bytes. The one table of size 1 is
+    a semilattice and never gets here, so on lists the itemgetter has two
+    or more indexes and returns a tuple.
     """
-    read_t = itemgetter(*chain.from_iterable(t))
-    rng = range(len(t))
+    tables, read, cat = _gather(rows)
+    read_t = read(cat(rows))
+    rng = range(len(rows))
     return _first_flat_difference(
-        (tuple(chain.from_iterable(map(t.__getitem__, row))) for row in t),
-        map(read_t, t), rng, rng, rng)
+        (cat(map(rows.__getitem__, row)) for row in rows),
+        map(read_t, tables), rng, rng, rng)
 
 
 class Rejected(ValueError):

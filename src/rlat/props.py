@@ -7,7 +7,8 @@ from collections import namedtuple
 from operator import or_
 
 from .core import (_first_join_failure, _is_mask_homomorphism,
-                   _join_irreducibles, check_member, element_id, mask_of)
+                   _join_irreducibles, _rows_of, check_member, element_id,
+                   mask_of)
 
 
 class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness",
@@ -41,7 +42,8 @@ def is_lattice_distributive(alg):
     below = [d & irreducible for d in dn]
     if _is_mask_homomorphism(jn, below, or_):
         return PropertyVerdict(True)
-    return PropertyVerdict(False, _first_join_failure(alg.meet, jn, dn))
+    return PropertyVerdict(False, _first_join_failure(
+        _rows_of(alg.meet), alg._rows[0], dn))
 
 
 def is_semilinear(alg):

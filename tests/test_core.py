@@ -9,11 +9,12 @@ import pytest
 
 from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
+import rlat.core
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, find_isomorphism,
-                  subalgebra_generated, validate)
+                  is_lattice_distributive, subalgebra_generated, validate)
 from rlat.core import (_fingerprints, _first_distributivity_failure,
                        _first_join_failure, _is_mask_homomorphism,
-                       _join_irreducibles)
+                       _join_irreducibles, _rows_of)
 from rlat.generate import boolean_algebra, build_an
 from theorems import block_bounds, elementary_properties, scan_distributivity
 
@@ -21,6 +22,19 @@ from theorems import block_bounds, elementary_properties, scan_distributivity
 def two_chain():
     return FiniteInRL(["0", "1"], 1, [1, 0],
                       [[0, 1], [1, 1]], [[0, 0], [0, 1]])
+
+
+def fresh(alg):
+    """A copy of alg with nothing cached, so that it reads its tables by
+    the kernel in force."""
+    return FiniteInRL(alg.names, alg.one, alg.neg, alg.join, alg.fusion)
+
+
+@pytest.fixture
+def list_kernel(monkeypatch):
+    """The list kernel, which runs above 256 elements, on every algebra
+    built while the test runs."""
+    monkeypatch.setattr(rlat.core, "_BYTE_IDS", 0)
 
 
 class TestConstruction:
@@ -206,7 +220,7 @@ class TestValidateAgainstScan:
         assert count == 2 * n * n * (n - 1) + n * (n - 1) ** 2
 
     def test_corpus(self, corpus6):
-        for alg in corpus6.algebras:
+        for alg in map(fresh, corpus6.algebras):
             assert validate(alg).checks == \
                 scan_axioms(alg.one, alg.neg, alg.join, alg.fusion)
 
@@ -300,7 +314,7 @@ class TestValidateAgainstScan:
 
     def test_fast_path_accepts_members(self, a1, corpus6):
         # a member never falls back to the O(n^3) associativity scan
-        for alg in [a1, build_an(3)] + list(corpus6.algebras):
+        for alg in map(fresh, [a1, build_an(3), *corpus6.algebras]):
             assert _is_mask_homomorphism(alg.join, alg.lat_up, and_)
             assert _is_mask_homomorphism(alg.fusion, alg.mon_dn, and_)
 
@@ -338,7 +352,8 @@ class TestDistributivityScanOnSubsets:
                         want = scan_distributivity(
                             op, bad.join, range(start, n), range(n), zs)
                         assert _first_distributivity_failure(
-                            op, bad.join, zs, start) == want, (label, zs)
+                            _rows_of(op), _rows_of(bad.join), zs,
+                            start) == want, (label, zs)
                         if want:
                             found.add((shape, start > 0))
         # failures were found for each shape of zs, from row 0 and later
@@ -358,10 +373,109 @@ class TestDistributivityScanOnSubsets:
             for _ in range(rng.randrange(3)):
                 op[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
             want = scan_distributivity(op, jn, range(n), range(n))
-            assert _first_join_failure(op, jn, alg.lat_dn) == want, op
+            assert _first_join_failure(
+                _rows_of(op), _rows_of(jn), alg.lat_dn) == want, op
             rows.add(want and want[0])
         # members pass, and failures were named in several rows
         assert None in rows and len(rows) > 4
+
+
+def assert_list_kernel():
+    alg = build_an(1)
+    assert alg._rows == (alg.join, alg.fusion)
+    assert isinstance(alg._rows[0][0], list)
+
+
+@pytest.mark.usefixtures("list_kernel")
+class TestValidateAgainstScanOnLists(TestValidateAgainstScan):
+    """The same oracle on the list kernel, which runs above 256 elements
+    and so only on large carriers in the other tests."""
+
+    def test_runs_the_list_kernel(self):
+        assert_list_kernel()
+
+
+@pytest.mark.usefixtures("list_kernel")
+class TestDistributivityScanOnSubsetsOnLists(
+        TestDistributivityScanOnSubsets):
+    """The same row scans on the list kernel."""
+
+    def test_runs_the_list_kernel(self):
+        assert_list_kernel()
+
+
+def one_cell_mutants(alg, seed, count):
+    """count seeded one-sided changes of a join cell and as many of a
+    fusion cell, as (join, fusion) table pairs."""
+    rng = random.Random(seed)
+    n = alg.n
+    for label in ("join", "fusion"):
+        for _ in range(count):
+            t = [row[:] for row in getattr(alg, label)]
+            x, y = rng.randrange(n), rng.randrange(n)
+            t[x][y] = rng.choice([v for v in range(n) if v != t[x][y]])
+            yield (t, alg.fusion) if label == "join" else (alg.join, t)
+
+
+class TestKernelSwitch:
+    """Up to 256 elements every id fits in a byte and the tables are read
+    as bytes; above, as lists. Both give the same reports and witnesses."""
+
+    def test_switch_at_256_elements(self):
+        alg = boolean_algebra(8)
+        assert alg.n == 256
+        assert [type(row) for row in alg._rows[0]] == [bytes] * 256
+        big = build_an(63)
+        assert big.n == 258 and big._rows == (big.join, big.fusion)
+
+    def test_kernels_agree_at_256_elements(self, monkeypatch):
+        alg = boolean_algebra(8)
+        # a relabelled an(62), n = 254, whose lattice is not distributive
+        an = build_an(62)
+        perm = list(range(an.n))
+        random.Random(34).shuffle(perm)
+        an = relabelled(an, perm)
+        cases = [(alg.join, alg.fusion), *one_cell_mutants(alg, 34, 2)]
+
+        def verdicts():
+            reports = [validate(FiniteInRL(alg.names, alg.one, alg.neg,
+                                           join, fusion)).checks
+                       for join, fusion in cases]
+            return reports, [tuple(is_lattice_distributive(fresh(a)))
+                             for a in (alg, an)]
+
+        by_bytes = verdicts()
+        monkeypatch.setattr(rlat.core, "_BYTE_IDS", 0)
+        assert verdicts() == by_bytes
+        reports, lattice = by_bytes
+        assert [all(ok for _, ok, _ in r) for r in reports] == \
+            [True] + [False] * 4
+        assert lattice[0] == (True, None) and not lattice[1][0]
+
+    def test_reports_above_256_elements(self):
+        # one join and one fusion mutant of an(63), n = 258; the reports
+        # were recorded before the byte kernel existed
+        alg = build_an(63)
+        rng = random.Random(259)
+        reports = []
+        for label, symmetric in (("join", False), ("fusion", True)):
+            t = [row[:] for row in getattr(alg, label)]
+            x, y = rng.randrange(alg.n), rng.randrange(alg.n)
+            t[x][y] = rng.choice([v for v in range(alg.n) if v != t[x][y]])
+            if symmetric:
+                t[y][x] = t[x][y]
+            tables = {"join": alg.join, "fusion": alg.fusion, label: t}
+            reports.append(validate(FiniteInRL(
+                alg.names, alg.one, alg.neg, tables["join"],
+                tables["fusion"])).failures())
+        assert reports == [
+            [("join commutative", (20, 46)),
+             ("join associative", (20, 24, 46)),
+             ("residuation", (20, 45)),
+             ("fusion distributes over join", (45, 20, 46))],
+            [("fusion associative", (42, 120, 252)),
+             ("residuation", (120, 252)),
+             ("fusion distributes over join", (120, 37, 252))]]
 
 
 def plain_join_irreducibles(jn):
@@ -487,6 +601,10 @@ class TestDerived:
             assert (alg.lat_up, alg.lat_dn) == alg._lat[1:]
             assert (alg.mon_up, alg.mon_dn) == alg._mon[1:]
         assert (len(tables), one_sided) == (137, 128)
+
+    def test_order_kernel_on_lists_matches_plain_loops(self, list_kernel):
+        assert_list_kernel()
+        self.test_order_kernel_matches_plain_loops()
 
     def test_fixture_cover_counts(self, a1):
         assert (len(a1.lat_covers), len(a1.mon_covers)) == (13, 12)
