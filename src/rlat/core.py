@@ -197,16 +197,17 @@ class FiniteInRL:
         # verdict (x, y): x <= y in the lattice order, x v y = y
         return _order(self._rows[0], False)
 
-    lat_up = cached_property(lambda self: self._lat[1])
-    lat_dn = cached_property(lambda self: self._lat[2])
+    # each mask is built the first time it is read
+    lat_up = cached_property(lambda self: _masks(self._lat, self.n, True))
+    lat_dn = cached_property(lambda self: _masks(self._lat, self.n, False))
 
     @cached_property
     def _mon(self):
         # verdict (x, y): x <= y in the monoidal order, x.y = x
         return _order(self._rows[1], True)
 
-    mon_up = cached_property(lambda self: self._mon[1])
-    mon_dn = cached_property(lambda self: self._mon[2])
+    mon_up = cached_property(lambda self: _masks(self._mon, self.n, True))
+    mon_dn = cached_property(lambda self: _masks(self._mon, self.n, False))
 
     @cached_property
     def meet(self):
@@ -297,11 +298,9 @@ _SAME = b"1" + b"0" * 255       # translates a zero byte to b"1", others to b"0"
 
 def _order(rows, by_row):
     """The verdicts rows[x][y] == (x if by_row else y) as n*n bytes
-    b"0"/b"1", verdict (x, y) at x*n + y, with the masks of the rows
-    (up-sets) and of the columns (down-sets): bit y of up[x], and bit x of
-    dn[y], is verdict (x, y). Bytes rows are XORed with the probe as one
-    int, lists compared with it cell by cell; either way a zero byte, the
-    same id, is one translate away from its verdict."""
+    b"0"/b"1", verdict (x, y) at x*n + y. Bytes rows are XORed with the
+    probe as one int, lists compared with it cell by cell; either way a zero
+    byte, the same id, is one translate away from its verdict."""
     n = len(rows)
     if isinstance(rows[0], bytes):
         probe = bytes(range(n)) * n
@@ -312,10 +311,16 @@ def _order(rows, by_row):
     else:
         probes = map(repeat, range(n)) if by_row else repeat(range(n))
         diff = b"".join(map(bytes, map(map, repeat(ne), rows, probes)))
-    flat = diff.translate(_SAME)
-    return (flat,
-            tuple(int(flat[x:x + n][::-1], 2) for x in range(0, n * n, n)),
-            tuple(int(flat[y::n][::-1], 2) for y in range(n)))
+    return diff.translate(_SAME)
+
+
+def _masks(flat, n, up):
+    """The masks of the n x n verdicts flat: of its rows (up-sets) if up,
+    bit y of mask x verdict (x, y), else of its columns (down-sets), bit x
+    of mask y verdict (x, y)."""
+    cuts = ((flat[x:x + n] for x in range(0, n * n, n)) if up
+            else (flat[y::n] for y in range(n)))
+    return tuple(int(cut[::-1], 2) for cut in cuts)
 
 
 def _covers(up):
@@ -339,18 +344,22 @@ def validate(alg):
     interpreter loops over rows, never over tuples, and searches cell by
     cell only the first row that differs, so the witness is the first
     failing tuple. Up to 256 elements every id fits in a byte: join and
-    fusion are read once per algebra as bytes, the order verdicts are one
-    XOR and one translate, residuation compares three n*n bytes of
-    verdicts, and each row of a witness scan is a translate and a join of
-    rows. Above 256 the scans read the lists by itemgetter (_gather).
-    Associativity is decided by O(n^2) bitmask checks and distributivity
-    follows from the other nine axioms. When some axiom fails,
-    associativity's O(n^3) row scan runs to name its witness.
-    Distributivity's is named by testing each fusion row against the join
-    only at the join-irreducible elements, O(n |J|) per row, and scanning
-    in full only the first row that fails; when join is not a semilattice
-    the O(n^3) scan runs instead. The report is the one a plain
-    lexicographic scan would give.
+    fusion are read once per algebra as bytes, commutativity compares each
+    table's n*n bytes with their transpose, the order verdicts are one XOR
+    and one translate, residuation compares three n*n bytes of verdicts,
+    and each row of a witness scan is a translate and a join of rows.
+    Above 256 commutativity compares the rows with the columns as lists,
+    and the scans read the lists by itemgetter (_gather). Associativity is
+    decided by O(n^2) bitmask checks, one itemgetter read of the masks per
+    row, and distributivity follows from the other nine axioms. Of the
+    order masks only the join's up-sets and the fusion's down-sets are
+    built, and the join's down-sets only when join is a semilattice and
+    some axiom fails. When some axiom fails, associativity's O(n^3) row
+    scan runs to name its witness. Distributivity's is named by testing
+    each fusion row against the join only at the join-irreducible
+    elements, O(n |J|) per row, and scanning in full only the first row
+    that fails; when join is not a semilattice the O(n^3) scan runs
+    instead. The report is the one a plain lexicographic scan would give.
     """
     n = alg.n
     jn, fu, ng = alg.join, alg.fusion, alg.neg
@@ -363,7 +372,7 @@ def validate(alg):
         return None if x is None else (x,)
 
     # with commutativity, {y : x v y = y} is the lattice up-set of x
-    comm = _first_difference(jn, map(list, zip(*jn)))
+    comm = _first_asymmetry(jr)
     idem = first_idempotence_failure(jn)
     join_ok = (comm is None and idem is None
                and _is_mask_homomorphism(jn, alg.lat_up, and_))
@@ -373,7 +382,7 @@ def validate(alg):
     rep.add("join idempotent", idem is None, idem)
 
     # with commutativity, {y : x.y = y} is the monoidal down-set of x
-    comm = _first_difference(fu, map(list, zip(*fu)))
+    comm = _first_asymmetry(fr)
     idem = first_idempotence_failure(fu)
     semilattice = (comm is None and idem is None
                    and _is_mask_homomorphism(fu, alg.mon_dn, and_))
@@ -391,7 +400,7 @@ def validate(alg):
     # join's verdicts, (x, y) at x*n + y: the columns at neg, whose row x is
     # verdict (y, neg x), their transpose, verdict (x, neg y), and the
     # column of 0 read through fusion, verdict (x.y, 0)
-    flat = alg._lat[0]
+    flat = alg._lat
     rhs = _columns(flat, ng, n)
     lhs = _columns(rhs, rng, n)
     prod = _read_cells(fr, flat[alg.zero::n])
@@ -431,6 +440,20 @@ def _first_difference(rows, others):
         if row != other:
             return x, _first_ne(row, other)
     return None
+
+
+def _first_asymmetry(rows):
+    """The first (x, y) with rows[x][y] != rows[y][x], or None, for rows as
+    _rows_of gives them: bytes joined and compared whole with their
+    transpose, the first index that differs divided into (x, y); lists
+    compared row by row with the columns."""
+    n = len(rows)
+    if isinstance(rows[0], bytes):
+        flat = b"".join(rows)
+        transpose = _columns(flat, range(n), n)
+        return None if flat == transpose else divmod(
+            _first_ne(flat, transpose), n)
+    return _first_difference(rows, map(list, zip(*rows)))
 
 
 def _first_flat_difference(rows, others, xs, ys, zs):
@@ -534,10 +557,14 @@ def _is_mask_homomorphism(table, masks, op):
     whether a commutative idempotent table is associative: x t y is then
     the least upper bound in the relation the masks describe, which makes
     it a partial order, and least upper bounds are associative.
+
+    Row x reads masks at row[x + 1:] by one itemgetter call, a tuple
+    compared whole with op's results. x itself ends the read, so that it
+    has two or more ids and returns a tuple; the last row has no y > x.
     """
-    return all(list(map(masks.__getitem__, row[x + 1:]))
-               == list(map(op, repeat(mx), masks[x + 1:]))
-               for x, (mx, row) in enumerate(zip(masks, table)))
+    return all(itemgetter(*row[x + 1:], x)(masks)
+               == (*map(op, repeat(mx), masks[x + 1:]), mx)
+               for x, mx, row in zip(range(len(masks) - 1), masks, table))
 
 
 def _fingerprints(alg):

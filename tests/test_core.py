@@ -10,8 +10,9 @@ import pytest
 from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
 import rlat.core
-from rlat import (AXIOM_NAMES, FiniteInRL, Report, find_isomorphism,
-                  is_lattice_distributive, subalgebra_generated, validate)
+from rlat import (AXIOM_NAMES, FiniteInRL, Report, decompose,
+                  find_isomorphism, is_lattice_distributive, partition,
+                  subalgebra_generated, validate)
 from rlat.core import (_fingerprints, _first_distributivity_failure,
                        _first_join_failure, _is_mask_homomorphism,
                        _join_irreducibles, _rows_of)
@@ -312,6 +313,24 @@ class TestValidateAgainstScan:
             failed += not checks[-1][1]
         assert 0 < failed < 200
 
+    def test_semilattice_certificate_refuses_a_cyclic_table(self):
+        # a v b = b, b v c = c, c v a = a, as join and as fusion: commutative
+        # and idempotent, each element below its join with any other, yet
+        # not associative, since no join is a least upper bound
+        t = [[0, 1, 0], [1, 1, 2], [0, 2, 2]]
+        alg = FiniteInRL("abc", 0, [0, 1, 2], t, t)
+        assert all(alg.lat_up[x] >> t[x][y] & 1
+                   for x in range(3) for y in range(3))
+        assert not _is_mask_homomorphism(t, alg.lat_up, and_)
+        assert not _is_mask_homomorphism(t, alg.mon_dn, and_)
+        checks = validate(alg).checks
+        assert checks == scan_axioms(0, [0, 1, 2], t, t)
+        report = {name: (ok, w) for name, ok, w in checks}
+        assert report["join commutative"] == report["join idempotent"] \
+            == report["fusion commutative"] == (True, None)
+        assert report["join associative"] == (False, (0, 1, 2))
+        assert not report["fusion associative"][0]
+
     def test_fast_path_accepts_members(self, a1, corpus6):
         # a member never falls back to the O(n^3) associativity scan
         for alg in map(fresh, [a1, build_an(3), *corpus6.algebras]):
@@ -522,6 +541,9 @@ def plain_order(table, probe):
     return flat, up, dn
 
 
+MASKS = ("lat_up", "lat_dn", "mon_up", "mon_dn")
+
+
 class TestDerived:
     def test_zero_is_negated_unit(self, a1):
         assert a1.zero == a1.neg[a1.one]
@@ -596,15 +618,32 @@ class TestDerived:
             one_sided += t != [list(col) for col in zip(*t)]
             alg = FiniteInRL([str(x) for x in range(n)], 0, list(range(n)),
                              t, t)
-            assert alg._lat == plain_order(t, lambda x, y: y), t
-            assert alg._mon == plain_order(t, lambda x, y: x), t
-            assert (alg.lat_up, alg.lat_dn) == alg._lat[1:]
-            assert (alg.mon_up, alg.mon_dn) == alg._mon[1:]
+            lat = plain_order(t, lambda x, y: y)
+            mon = plain_order(t, lambda x, y: x)
+            assert (alg._lat, alg._mon) == (lat[0], mon[0]), t
+            # each mask is built when it is first read, and no other with it
+            for i, want in enumerate(lat[1:] + mon[1:]):
+                assert getattr(alg, MASKS[i]) == want, (t, MASKS[i])
+                assert set(MASKS) & set(vars(alg)) == set(MASKS[:i + 1])
         assert (len(tables), one_sided) == (137, 128)
 
     def test_order_kernel_on_lists_matches_plain_loops(self, list_kernel):
         assert_list_kernel()
         self.test_order_kernel_matches_plain_loops()
+
+    def test_validate_builds_only_the_masks_it_reads(self, a1):
+        # a member's validate reads lat_up and mon_dn; partition and
+        # decompose build the others they read when they first read them
+        for alg in (a1, build_an(3), boolean_algebra(3)):
+            a = fresh(alg)
+            assert validate(a).ok
+            assert set(MASKS) & set(vars(a)) == {"lat_up", "mon_dn"}
+            assert partition(a) == partition(fresh(alg))
+            assert decompose(a) == decompose(fresh(alg))
+            lat = plain_order(a.join, lambda x, y: y)
+            mon = plain_order(a.fusion, lambda x, y: x)
+            assert tuple(getattr(a, name) for name in MASKS) == \
+                lat[1:] + mon[1:]
 
     def test_fixture_cover_counts(self, a1):
         assert (len(a1.lat_covers), len(a1.mon_covers)) == (13, 12)
