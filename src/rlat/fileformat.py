@@ -17,7 +17,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .core import FiniteInRL, check_member
+from .core import FiniteInRL, bits, check_member
 
 _SECTIONS = ("elements", "one", "neg", "join", "fusion")
 
@@ -322,14 +322,26 @@ def _quote(name):
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _covers(up):
+    """Cover pairs (x, y) of the preorder given by up-set masks."""
+    out = []
+    for x, row in enumerate(up):
+        strict = above = row & ~(1 << x)
+        for z in bits(strict):
+            # some z with x < z < y disqualifies the pair
+            above &= ~(up[z] & ~(1 << z))
+        out.extend((x, y) for y in bits(above))
+    return tuple(out)
+
+
 def dot_export(alg, order):
     """DOT digraph of the Hasse covers of order, 'lattice' or 'monoidal';
     raises ValueError if alg is not a member or order is neither."""
     check_member(alg)
     if order == "lattice":
-        covers = alg.lat_covers
+        covers = _covers(alg.lat_up)
     elif order == "monoidal":
-        covers = alg.mon_covers
+        covers = _covers(alg.mon_up)
     else:
         raise ValueError("order must be 'lattice' or 'monoidal'")
     lines = ["digraph %s {" % order, "  rankdir=BT;"]

@@ -11,14 +11,14 @@ from operator import and_, or_
 
 from .core import FiniteInRL, int_arg
 
-# The largest carrier the generators build; memory bounds it, not time. On a
-# 2-CPU machine with Python 3.11, each in a fresh process (CPU time, peak
-# RSS), `rlat gen an 254` (n = 1022) took 0.30 s at 30 MB and `gen bool 10`
-# 0.26 s at 31 MB, the peak of the tables, since `gen` writes the file a
-# line at a time. With the cap raised, `gen bool 11` took 1.1 s at 85 MB
-# and `gen an 510` 1.4 s at 79 MB. `rlat check` of the output, which parses
-# a row at a time, took 0.6 s at 54 MB (an 254) and 50 MB (bool 10), and
-# 2.6 s at 169-179 MB past the cap.
+# The largest carrier the generators build. On a 2-CPU machine with Python
+# 3.11, in fresh processes (CPU time, peak RSS), `rlat gen an 254` (n = 1022)
+# took 0.30 s at 30 MB and `gen bool 10` 0.26 s at 31 MB, since `gen` writes
+# a line at a time; past the cap, `gen bool 11` took 1.1 s at 85 MB and `gen
+# an 510` 1.4 s at 79 MB. `rlat check`, which parses a row at a time, took
+# 0.6 s at 50-54 MB on either output (2.6 s at 169-179 MB past the cap), and
+# on one cell and its mirror raised by one (seeds 1 and 2) 0.64-0.74 s (bool
+# 10) but 9.8 and 60 s (an 254, join) and 7.0 and 42 s (fusion).
 SIZE_CAP = 1024
 
 

@@ -10,7 +10,8 @@ from collections import namedtuple
 from itertools import compress, repeat, takewhile
 from operator import eq, getitem, itemgetter
 
-from .core import _first_ne, bits, check_member, element_id
+from .core import bits, check_member, element_id
+from .kernel import _first_ne
 
 
 class BooleanBlock(namedtuple("BooleanBlock", "bottom top elements")):

@@ -6,9 +6,9 @@ Also the subalgebra generated by a set of elements.
 from collections import namedtuple
 from operator import or_
 
-from .core import (_first_join_failure, _is_mask_homomorphism,
-                   _join_irreducibles, _rows_of, check_member, element_id,
-                   mask_of)
+from .core import check_member, element_id, mask_of
+from .kernel import (_first_join_failure, _is_mask_homomorphism,
+                     _join_irreducibles, _rows_of)
 
 
 class PropertyVerdict(namedtuple("PropertyVerdict", "holds witness",

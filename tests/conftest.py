@@ -24,6 +24,13 @@ def corpus6():
 
 
 @pytest.fixture(scope="session")
+def corpus8():
+    """The members of size <= 8 up to isomorphism, to the enum size cap;
+    enumerating them takes about 3 s, so they are built once."""
+    return enumerate_up_to_iso(8)
+
+
+@pytest.fixture(scope="session")
 def corpus7(corpus6):
     """The members of size <= 7 up to isomorphism: the size-6 corpus and
     the four members of size 7 that `rlat enum 7 --out` writes (files

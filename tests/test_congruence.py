@@ -117,6 +117,34 @@ class TestCongruenceOracles:
             assert got == expect
 
 
+class TestSubdirectlyIrreducible:
+    """Congruences correspond to the negative cone, the unit to the
+    identity, larger congruences to lower elements. So a member is
+    subdirectly irreducible (SI), with one minimal non-identity congruence,
+    iff the cone without the unit has a greatest element, and simple, with
+    two congruences, iff that set has one element. The congruences here
+    are the oracle's set partitions."""
+
+    def test_cone_criterion_matches_naive_congruences(self, corpus8):
+        si, simple = [0] * 8, [0] * 8
+        for alg in corpus8.algebras:
+            n, jn, one = alg.n, alg.join, alg.one
+            cone = [x for x in range(n) if jn[x][one] == one and x != one]
+            tops = [m for m in cone if all(jn[x][m] == m for x in cone)]
+            cons = naive_congruences(alg)
+            proper = [c for c in cons if c != tuple(range(n))]
+            # c is finer than d iff each class of c lies in one of d
+            minimal = [d for d in proper if not any(
+                c != d and len(set(zip(c, d))) == len(set(c))
+                for c in proper)]
+            assert (len(tops) == 1) == (len(minimal) == 1), alg
+            assert (len(cone) == 1) == (len(cons) == 2), alg
+            si[n - 1] += len(tops) == 1
+            simple[n - 1] += len(cone) == 1
+        assert si == [0, 1, 1, 1, 2, 2, 4, 4]
+        assert simple == [0, 1, 1, 0, 1, 0, 0, 0]
+
+
 class TestCongruenceLattice:
     def test_count_equals_negative_cone(self, a1, corpus6):
         for alg in [a1] + list(corpus6.algebras):

@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 import random
@@ -9,14 +8,14 @@ import pytest
 
 from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
-import rlat.core
+import rlat.kernel
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, decompose,
-                  find_isomorphism, is_lattice_distributive, partition,
-                  subalgebra_generated, validate)
-from rlat.core import (_fingerprints, _first_distributivity_failure,
-                       _first_join_failure, _is_mask_homomorphism,
-                       _join_irreducibles, _rows_of)
+                  find_isomorphism, partition, subalgebra_generated, validate)
+from rlat.core import _fingerprints
+from rlat.fileformat import _covers
 from rlat.generate import boolean_algebra, build_an
+from rlat.kernel import (_first_distributivity_failure, _first_join_failure,
+                         _is_mask_homomorphism, _join_irreducibles, _rows_of)
 from theorems import block_bounds, elementary_properties, scan_distributivity
 
 
@@ -35,7 +34,7 @@ def fresh(alg):
 def list_kernel(monkeypatch):
     """The list kernel, which runs above 256 elements, on every algebra
     built while the test runs."""
-    monkeypatch.setattr(rlat.core, "_BYTE_IDS", 0)
+    monkeypatch.setattr(rlat.kernel, "_BYTE_IDS", 0)
 
 
 class TestConstruction:
@@ -423,113 +422,6 @@ class TestDistributivityScanOnSubsetsOnLists(
         assert_list_kernel()
 
 
-def one_cell_mutants(alg, seed, count):
-    """count seeded one-sided changes of a join cell and as many of a
-    fusion cell, as (join, fusion) table pairs."""
-    rng = random.Random(seed)
-    n = alg.n
-    for label in ("join", "fusion"):
-        for _ in range(count):
-            t = [row[:] for row in getattr(alg, label)]
-            x, y = rng.randrange(n), rng.randrange(n)
-            t[x][y] = rng.choice([v for v in range(n) if v != t[x][y]])
-            yield (t, alg.fusion) if label == "join" else (alg.join, t)
-
-
-class TestKernelSwitch:
-    """Up to 256 elements every id fits in a byte and the tables are read
-    as bytes; above, as lists. Both give the same reports and witnesses."""
-
-    def test_switch_at_256_elements(self):
-        alg = boolean_algebra(8)
-        assert alg.n == 256
-        assert [type(row) for row in alg._rows[0]] == [bytes] * 256
-        big = build_an(63)
-        assert big.n == 258 and big._rows == (big.join, big.fusion)
-
-    def test_kernels_agree_at_256_elements(self, monkeypatch):
-        alg = boolean_algebra(8)
-        # a relabelled an(62), n = 254, whose lattice is not distributive
-        an = build_an(62)
-        perm = list(range(an.n))
-        random.Random(34).shuffle(perm)
-        an = relabelled(an, perm)
-        cases = [(alg.join, alg.fusion), *one_cell_mutants(alg, 34, 2)]
-
-        def verdicts():
-            reports = [validate(FiniteInRL(alg.names, alg.one, alg.neg,
-                                           join, fusion)).checks
-                       for join, fusion in cases]
-            return reports, [tuple(is_lattice_distributive(fresh(a)))
-                             for a in (alg, an)]
-
-        by_bytes = verdicts()
-        monkeypatch.setattr(rlat.core, "_BYTE_IDS", 0)
-        assert verdicts() == by_bytes
-        reports, lattice = by_bytes
-        assert [all(ok for _, ok, _ in r) for r in reports] == \
-            [True] + [False] * 4
-        assert lattice[0] == (True, None) and not lattice[1][0]
-
-    def test_reports_above_256_elements(self):
-        # one join and one fusion mutant of an(63), n = 258; the reports
-        # were recorded before the byte kernel existed
-        alg = build_an(63)
-        rng = random.Random(259)
-        reports = []
-        for label, symmetric in (("join", False), ("fusion", True)):
-            t = [row[:] for row in getattr(alg, label)]
-            x, y = rng.randrange(alg.n), rng.randrange(alg.n)
-            t[x][y] = rng.choice([v for v in range(alg.n) if v != t[x][y]])
-            if symmetric:
-                t[y][x] = t[x][y]
-            tables = {"join": alg.join, "fusion": alg.fusion, label: t}
-            reports.append(validate(FiniteInRL(
-                alg.names, alg.one, alg.neg, tables["join"],
-                tables["fusion"])).failures())
-        assert reports == [
-            [("join commutative", (20, 46)),
-             ("join associative", (20, 24, 46)),
-             ("residuation", (20, 45)),
-             ("fusion distributes over join", (45, 20, 46))],
-            [("fusion associative", (42, 120, 252)),
-             ("residuation", (120, 252)),
-             ("fusion distributes over join", (120, 37, 252))]]
-
-
-def plain_join_irreducibles(jn):
-    """The z that are not the join of the elements strictly below them,
-    the minimal elements among them, by plain loops."""
-    out = []
-    for z in range(len(jn)):
-        below = [y for y in range(len(jn)) if jn[y][z] == z and y != z]
-        v = below[0] if below else None
-        for y in below[1:]:
-            v = jn[v][y]
-        if v != z:
-            out.append(z)
-    return out
-
-
-class TestJoinIrreducibles:
-    def test_match_plain_loops(self, corpus7):
-        algs = (corpus7 + [build_an(k) for k in range(5)]
-                + [boolean_algebra(k) for k in range(6)])
-        for alg in algs:
-            gens = _join_irreducibles(alg.lat_dn)
-            assert gens == plain_join_irreducibles(alg.join), alg
-            # every element is the join of the generators below it
-            for z in range(alg.n):
-                below = [g for g in gens if alg.leq(g, z)]
-                assert functools.reduce(
-                    lambda u, v: alg.join[u][v], below) == z, (alg, z)
-
-    def test_counts_on_the_families(self):
-        for k in range(7):
-            assert len(_join_irreducibles(boolean_algebra(k).lat_dn)) == k + 1
-        assert len(_join_irreducibles(build_an(16).lat_dn)) == 37
-
-
 def plain_order(table, probe):
     """The verdicts table[x][y] == probe(x, y) by plain loops: b"0"/b"1" row
     by row, and the masks of the rows and of the columns."""
@@ -570,8 +462,8 @@ class TestDerived:
                 assert a1.leq(x, y) == (a1.join[x][y] == y)
                 assert a1.mleq(x, y) == (a1.fusion[x][y] == x)
         assert all(a1.mleq(x, a1.one) for x in range(n))
-        assert a1.pos_cone == sum(1 << x for x in range(n)
-                                  if a1.leq(a1.one, x))
+        assert a1.lat_up[a1.one] == sum(1 << x for x in range(n)
+                                        if a1.leq(a1.one, x))
         assert a1.neg_cone == sum(1 << x for x in range(n)
                                   if a1.leq(x, a1.one))
 
@@ -646,7 +538,7 @@ class TestDerived:
                 lat[1:] + mon[1:]
 
     def test_fixture_cover_counts(self, a1):
-        assert (len(a1.lat_covers), len(a1.mon_covers)) == (13, 12)
+        assert (len(_covers(a1.lat_up)), len(_covers(a1.mon_up))) == (13, 12)
 
     def test_block_bounds(self, a1):
         lo, hi = block_bounds(a1, a1.element("a"))

@@ -29,7 +29,7 @@ class TestAtoms:
 
     def test_atoms_cover_the_unit(self, corpus6):
         for alg in corpus6.algebras:
-            pos = alg.pos_cone
+            pos = alg.lat_up[alg.one]
             for c in find_atoms(alg):
                 assert alg.leq(alg.one, c) and c != alg.one
                 between = [z for z in bits(pos)

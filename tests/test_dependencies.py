@@ -3,6 +3,8 @@ standard library and its own modules, and the command line loads no more of
 them than every command needs."""
 
 import ast
+import importlib
+import json
 import os
 import pathlib
 import re
@@ -60,7 +62,8 @@ def test_no_module_imports_dataclasses():
 
 # the modules every command loads: the rest load in the commands that run
 # them
-CLI_MODULES = ["rlat", "rlat.cli", "rlat.core", "rlat.fileformat"]
+CLI_MODULES = ["rlat", "rlat.cli", "rlat.core", "rlat.fileformat",
+               "rlat.kernel"]
 FIXTURES = SRC.parent.parent / "fixtures"
 
 
@@ -198,3 +201,17 @@ def test_every_exported_name_appears_in_the_readme():
     words = {w for span in re.findall(r"`([^`]+)`", text)
              for w in re.findall(r"\w+", span)}
     assert [name for name in rlat.__all__ if name not in words] == []
+
+
+def test_every_traced_layer_is_a_function_of_its_module():
+    # BENCHMARK.json's per-layer metrics <module>.<function>.<agg> time the
+    # function where rlat.<module> defines it; moving a function to another
+    # module renames its metrics, which BENCHMARK.json must then record
+    spec = json.loads((SRC.parent.parent / "BENCHMARK.json")
+                      .read_text(encoding="utf-8"))
+    layers = [metric["name"].split(".") for metric in spec["per_layer"]
+              if metric["name"].count(".") == 2]
+    assert len(layers) == 22
+    for module, name, _ in layers:
+        function = getattr(importlib.import_module("rlat." + module), name)
+        assert function.__module__ == "rlat." + module, (module, name)

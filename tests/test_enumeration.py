@@ -149,11 +149,9 @@ class TestOrderStep:
 
 
 class TestSize8:
-    def test_counts_digest_and_members(self):
-        # the corpus to the size cap, about 3 s
-        corpus = enumerate_up_to_iso(8)
-        assert corpus.counts == {**GOLDEN_COUNTS, 7: 4, 8: 9}
-        eights = [g for g in corpus.algebras if g.n == 8]
+    def test_counts_digest_and_members(self, corpus8):
+        assert corpus8.counts == {**GOLDEN_COUNTS, 7: 4, 8: 9}
+        eights = [g for g in corpus8.algebras if g.n == 8]
         text = "".join(emit(g) for g in eights)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "e1adf3499a15f83affd833e376f72019836c835168532f97f91715fec4330bcf"

@@ -7,7 +7,7 @@ from oracles import glued_order_failures, semilattice_distributivity_witness
 from rlat import FiniteInRL, find_isomorphism, validate
 from rlat.core import Rejected
 from rlat.decompose import decompose, find_atoms, reassemble, split
-from rlat.fileformat import load_algebra, write_tree
+from rlat.fileformat import _covers, load_algebra, write_tree
 from rlat.generate import boolean_algebra, build_an
 from rlat import gluing
 from rlat.gluing import GluingSpec, Leaf, _glue_tree, glue, validate_gluing
@@ -149,7 +149,7 @@ class TestGlue:
         assert validate(out).ok
         assert out.one == 12 + sample_spec.upper.one
         assert out.zero == 12 + sample_spec.upper.zero
-        assert (len(out.lat_covers), len(out.mon_covers)) == (38, 38)
+        assert (len(_covers(out.lat_up)), len(_covers(out.mon_up))) == (38, 38)
 
     def test_lower_zero_agreement(self, sample_spec):
         # for lower elements, being below zero is decided inside the

@@ -72,7 +72,7 @@ class TestBlockStructure:
     def test_skeleton_size_matches_positive_cone(self, corpus6):
         for alg in corpus6.algebras:
             p = partition(alg)
-            pos = bin(alg.pos_cone).count("1")
+            pos = bin(alg.lat_up[alg.one]).count("1")
             assert len(p.skeleton) == len(p.blocks) == pos
 
     def test_verify_passes_on_corpus(self, corpus6):

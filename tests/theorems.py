@@ -118,7 +118,7 @@ def verify_partition(alg, p):
     w = scan_distributivity(mt, jn, p.skeleton, p.skeleton)
     rep.add("skeleton is distributive", w is None, w)
 
-    pos = list(bits(alg.pos_cone))
+    pos = list(bits(alg.lat_up[alg.one]))
     dual_ok = (sorted(ng[q] for q in pos) == sorted(skel)
                and all((alg.leq(q, r)) == (alg.leq(ng[r], ng[q]))
                        for q in pos for r in pos))
@@ -163,7 +163,7 @@ def elementary_properties(alg):
              None)
     rep.add("fusion between meet and join", w is None, w)
 
-    pos = list(bits(alg.pos_cone))
+    pos = list(bits(alg.lat_up[alg.one]))
     w = next(((x, y) for x in pos for y in pos if fu[x][y] != jn[x][y]), None)
     rep.add("fusion is join on the positive cone", w is None, w)
 
