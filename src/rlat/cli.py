@@ -2,11 +2,10 @@
 
 Exit codes: 0 success or property holds; 1 axiom/property fails (witness on
 standard output); 2 invalid input or usage; 141, as on SIGPIPE, when
-standard output has no reader. `-` reads standard input: an algebra file,
-or a spec file for `glue`.
+standard output or standard error has no reader. `-` reads standard
+input: an algebra file, or a spec file for `glue`.
 """
 
-import gc
 import os
 import sys
 
@@ -276,19 +275,17 @@ def run(argv=None):
 
 def main():
     try:
-        code = run()
+        try:
+            code = run()
+        except SystemExit as exc:   # -h or a usage error, already printed
+            code = exc.code
         sys.stdout.flush()
-    except BrokenPipeError:
-        # exit as a command ended by SIGPIPE does; the output left in the
-        # buffer goes to the null device when the interpreter flushes it
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.flush()
+    except BrokenPipeError:   # exit as a command ended by SIGPIPE does
         code = 141
-    finally:
-        # the process ends here: frozen objects are left out of the
-        # collections the interpreter runs on its way out; run() does not
-        # freeze, since its callers go on
-        gc.freeze()
-    sys.exit(code)
+    # the process ends here, with its output written: no interpreter
+    # shutdown is left to collect the heap or flush into a closed pipe
+    os._exit(code)
 
 
 if __name__ == "__main__":

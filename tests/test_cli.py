@@ -12,7 +12,7 @@ import pytest
 
 from rlat import (AXIOM_NAMES, FiniteInRL, find_isomorphism, validate,
                   validate_gluing)
-from rlat.cli import main, run
+from rlat.cli import run
 from rlat.fileformat import dot_export, emit, load_algebra, parse
 from rlat.generate import boolean_algebra, build_an
 
@@ -696,12 +696,44 @@ def in_process(capsys, monkeypatch, argv, stdin):
 
 def fresh_main(argv, stdin):
     """(exit code, stdout, stderr) of `python -m rlat.cli argv` in a new
-    interpreter on src, from the repository root: the path of main()."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    interpreter on src, from the repository root: the path of main().
+    Standard output is block-buffered, so output that main() failed to
+    flush before the process ends would be missing."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="")
     proc = subprocess.run([sys.executable, "-m", "rlat.cli", *argv],
                           cwd=ROOT, env=env, input=stdin,
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def written(directory):
+    """name -> bytes of each file in directory; {} when there is none."""
+    if not directory.is_dir():
+        return {}
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def main_unread(argv, unbuffered, stream, stdin):
+    """(exit code, the other stream's bytes) of `python -m rlat.cli argv`
+    in a new interpreter whose stream, "stdout" or "stderr", is a pipe
+    that no one reads, with PYTHONUNBUFFERED set to unbuffered."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+               stream: write_end}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rlat.cli", *argv.split()], cwd=ROOT,
+            env=env, input=stdin, **streams)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr if stream == "stdout" else proc.stdout
 
 
 class TestEntryPoint:
@@ -713,15 +745,27 @@ class TestEntryPoint:
         ("frobnicate", 2),
         ("-h", 0),
         ("check -", 0),
+        ("gen bool 8", 0),
+        ("decompose fixtures/a1.rlat --out {D}", 0),
+        ("check", 2),
     ])
-    def test_main_matches_run(self, capsys, monkeypatch, fixdir, argv,
-                              code):
-        # the stdout, stderr and exit code of a new process through main()
-        # are those of run() in this one; `check -` reads a1.rlat
+    def test_main_matches_run(self, capsys, monkeypatch, tmp_path, fixdir,
+                              argv, code):
+        # the stdout, stderr, exit code and written files of a new process
+        # through main() are those of run() in this one, each writing into
+        # its own directory; `check -` reads a1.rlat, and `gen bool 8`
+        # writes 515 lines, more than a pipe holds
         stdin = (fixdir / "a1.rlat").read_text(encoding="utf-8")
-        expected = in_process(capsys, monkeypatch, argv.split(), stdin)
+
+        def argv_in(side):
+            return [a.format(D=tmp_path / side) for a in argv.split()]
+
+        expected = in_process(capsys, monkeypatch, argv_in("run"), stdin)
         assert expected[0] == code
-        assert fresh_main(argv.split(), stdin) == expected
+        assert fresh_main(argv_in("main"), stdin) == expected
+        files = written(tmp_path / "run")
+        assert written(tmp_path / "main") == files
+        assert bool(files) == ("--out" in argv)
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("argv", [
@@ -733,40 +777,54 @@ class TestEntryPoint:
         # exit 141, as a shell reports a command ended by SIGPIPE, and
         # nothing on standard error, whether the write that fails is the
         # command's own or main()'s flush
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-                   PYTHONUNBUFFERED=unbuffered)
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "rlat.cli", *argv.split()], cwd=ROOT,
-                env=env, input=(fixdir / "a1.rlat").read_bytes(),
-                stdout=write_end, stderr=subprocess.PIPE)
-        finally:
-            os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (141, b"")
+        stdin = (fixdir / "a1.rlat").read_bytes()
+        assert main_unread(argv, unbuffered, "stdout", stdin) == (141, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", ["check", "check nosuch.rlat"])
+    def test_closed_stderr_exits_as_on_sigpipe(self, argv, unbuffered):
+        # a usage error and an invalid input write only to standard error
+        assert main_unread(argv, unbuffered, "stderr", b"") == (141, b"")
 
     @pytest.mark.parametrize("argv, code", [
         ("prop distr-lattice {F}", 1), ("frobnicate", 2),
     ])
-    def test_only_main_freezes(self, monkeypatch, a1_path, argv, code):
-        # run() is called by processes that go on, and leaves the collector
-        # as it found it; main() ends the process, and freezes the heap
-        # whether run() returns or raises SystemExit
-        argv = argv.format(F=a1_path).split()
+    def test_run_leaves_the_collector(self, a1_path, argv, code):
+        # run() is called by processes that go on: whether it returns or
+        # raises SystemExit, it leaves the collector as it found it
         before = gc.get_freeze_count()
-        with pytest.raises(SystemExit):
-            run(["frobnicate"])
-        assert run(["check", a1_path]) == 0
-        assert gc.get_freeze_count() == before
-        monkeypatch.setattr(sys, "argv", ["rlat"] + argv)
         try:
-            with pytest.raises(SystemExit) as exc:
-                main()
-            assert exc.value.code == code
-            assert gc.get_freeze_count() > before
-        finally:
-            gc.unfreeze()   # this process goes on
+            got = run(argv.format(F=a1_path).split())
+        except SystemExit as exc:   # a usage error
+            got = exc.code
+        assert (got, gc.get_freeze_count()) == (code, before)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd to list")
+    def test_run_leaves_no_file_open(self, capsys, fixdir, tmp_path):
+        # main() ends the process by os._exit, which closes no file object:
+        # a file that a command left open would lose what its buffer holds.
+        # So each command closes every file it opens before run() returns.
+        # `reassemble BAD` reads a tree whose root spec is not a gluing.
+        a1, spec = str(fixdir / "a1.rlat"), str(fixdir / "sample.gspec")
+        tree, bad = str(tmp_path / "tree"), tmp_path / "bad"
+        invoke(capsys, "decompose", a1, "--out", str(bad))
+        root = bad / "t.gspec"
+        root.write_text(root.read_text(encoding="utf-8").replace("b 0", "b 1"),
+                        encoding="utf-8")
+        for argv, code in [
+                (["check", a1], 0), (["partition", a1], 0),
+                (["congruences", a1], 0), (["glue", spec], 0),
+                (["check", spec], 0), (["decompose", a1, "--out", tree], 0),
+                (["reassemble", tree], 0), (["gen", "an", "3"], 0),
+                (["gen", "bool", "3"], 0),
+                (["enum", "4", "--out", str(tmp_path / "enum")], 0),
+                (["prop", "distr-lattice", a1], 1), (["dot", a1], 0),
+                (["check", str(tmp_path / "nosuch.rlat")], 2),
+                (["reassemble", str(bad)], 2)]:
+            before = open_descriptors()
+            assert invoke(capsys, *argv)[0] == code, argv
+            assert open_descriptors() == before, argv
 
 
 @pytest.mark.skipif(shutil.which("rlat") is None,

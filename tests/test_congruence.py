@@ -20,6 +20,26 @@ def cone_filter(alg, g):
     return {x for x in one_class if alg.leq(x, alg.one)}
 
 
+def cone_tops(alg):
+    """The negative cone without the unit, and its greatest elements."""
+    jn, one = alg.join, alg.one
+    cone = [x for x in range(alg.n) if jn[x][one] == one and x != one]
+    return cone, [m for m in cone if all(jn[x][m] == m for x in cone)]
+
+
+def covers(above, x):
+    """The covers of x in the order whose strict up-sets above lists."""
+    return [y for y in above[x] if not any(y in above[z] for z in above[x])]
+
+
+def meet_irreducible_generators(alg):
+    """The cone elements with one lower cover in the cone: the generators
+    of the completely meet-irreducible congruences."""
+    cone = cone_ids(alg)
+    below = {a: [c for c in cone if c != a and alg.leq(c, a)] for a in cone}
+    return [a for a in cone if len(covers(below, a)) == 1]
+
+
 class TestFilters:
     def test_one_filter_per_cone_element(self, a1, corpus6):
         for alg in [a1] + list(corpus6.algebras):
@@ -128,9 +148,8 @@ class TestSubdirectlyIrreducible:
     def test_cone_criterion_matches_naive_congruences(self, corpus8):
         si, simple = [0] * 8, [0] * 8
         for alg in corpus8.algebras:
-            n, jn, one = alg.n, alg.join, alg.one
-            cone = [x for x in range(n) if jn[x][one] == one and x != one]
-            tops = [m for m in cone if all(jn[x][m] == m for x in cone)]
+            n = alg.n
+            cone, tops = cone_tops(alg)
             cons = naive_congruences(alg)
             proper = [c for c in cons if c != tuple(range(n))]
             # c is finer than d iff each class of c lies in one of d
@@ -143,6 +162,57 @@ class TestSubdirectlyIrreducible:
             simple[n - 1] += len(cone) == 1
         assert si == [0, 1, 1, 1, 2, 2, 4, 4]
         assert simple == [0, 1, 1, 0, 1, 0, 0, 0]
+
+    @pytest.fixture(scope="class")
+    def members(self, corpus8):
+        return (list(corpus8.algebras) + [build_an(k) for k in range(4)]
+                + [boolean_algebra(k) for k in range(5)])
+
+    def test_meet_irreducibles_match_naive_congruences(self, members):
+        # a congruence is completely meet-irreducible iff one congruence
+        # covers it; larger congruences are lower cone elements
+        for alg in members:
+            if alg.n > 8:
+                continue
+            got = {frozenset(frozenset(c) for c in
+                             congruence_from_filter(alg, a).classes)
+                   for a in meet_irreducible_generators(alg)}
+            cons = naive_congruences(alg)
+            # c is finer than d iff each class of c lies in one of d
+            above = {c: [d for d in cons if d != c
+                         and len(set(zip(c, d))) == len(set(c))]
+                     for c in cons}
+            expect = {classes_of(c) for c in cons
+                      if len(covers(above, c)) == 1}
+            assert got == expect, alg
+
+    def test_subdirect_representation(self, members):
+        # x |-> (x/theta_a)_a, over the completely meet-irreducible
+        # theta_a, embeds each member into a product of SI quotients
+        for alg in members:
+            factors = []
+            for a in meet_irreducible_generators(alg):
+                factor = quotient(alg, a)
+                theta = congruence_from_filter(alg, a)
+                assert len(cone_tops(factor)[1]) == 1, alg
+                # each class is named by its least element
+                factors.append((factor, [
+                    factor.element(alg.names[theta.class_of(x)[0]])
+                    for x in range(alg.n)]))
+            image = {tuple(h[x] for _, h in factors) for x in range(alg.n)}
+            assert len(image) == alg.n, alg
+            for factor, h in factors:
+                assert h[alg.one] == factor.one
+                for x in range(alg.n):
+                    assert h[alg.neg[x]] == factor.neg[h[x]]
+                    for y in range(alg.n):
+                        assert h[alg.join[x][y]] == factor.join[h[x]][h[y]]
+                        assert (h[alg.fusion[x][y]]
+                                == factor.fusion[h[x]][h[y]])
+        for k in range(5):
+            alg = boolean_algebra(k)
+            assert [quotient(alg, a).n for a in
+                    meet_irreducible_generators(alg)] == [2] * k
 
 
 class TestCongruenceLattice:

@@ -115,6 +115,12 @@ class TestConstruction:
         other = FiniteInRL(["0", "x"], 1, [1, 0], [[0, 1], [1, 1]],
                            [[0, 0], [0, 1]])
         assert two_chain() != other
+        # another type is never equal
+        assert (two_chain() == 0) is False
+        assert (two_chain() != "x") is True
+
+    def test_repr_names_size_and_unit(self):
+        assert repr(boolean_algebra(1)) == "FiniteInRL(n=2, one=1)"
 
 
 class TestReport:
