@@ -154,7 +154,6 @@ class FiniteInRL:
         ids = chain(self.neg, *self.join, *self.fusion)
         if type(sum(ids, one)) is not int:
             raise ValueError("element ids must be ints")
-        self.index = {name: i for i, name in enumerate(self.names)}
 
     @classmethod
     def _of(cls, names, one, neg, join, fusion):
@@ -164,7 +163,6 @@ class FiniteInRL:
         alg = cls.__new__(cls)
         alg.names, alg.one, alg.neg = names, one, neg
         alg.join, alg.fusion, alg.n = join, fusion, len(names)
-        alg.index = {name: i for i, name in enumerate(names)}
         return alg
 
     def __eq__(self, other):
@@ -182,9 +180,9 @@ class FiniteInRL:
             raise ValueError("unknown element %r" % name)
         return self.index[name]
 
-    @cached_property
-    def zero(self):
-        return self.neg[self.one]
+    # built on first read; only the name lookups read index
+    index = cached_property(lambda self: dict(zip(self.names, range(self.n))))
+    zero = cached_property(lambda self: self.neg[self.one])
 
     def leq(self, x, y):
         return self.join[element_id(x, self.n)][element_id(y, self.n)] == y

@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -39,6 +40,32 @@ def corpus7(corpus6):
     that TestEnum in test_cli.py compares byte for byte."""
     sevens = sorted((FIXTURES / "size7").glob("n7_*.rlat"))
     return list(corpus6.algebras) + [load_algebra(str(p)) for p in sevens]
+
+
+@pytest.fixture(scope="session")
+def glued_family():
+    """Seeded random glued members: (members, steps).
+
+    The pool starts as boolean_algebra(0..3) and build_an(0). Each of 50
+    steps draws two pool members A, B with |A| + |B| <= 48 and one spec
+    from oracles.glue_specs(A, B, 5), a pair with no spec being drawn
+    again, and adds the glued member to the pool. members is the pool, 55
+    members of sizes 1 to 48; steps holds each (spec, glued member). All
+    of it is built in well under a second."""
+    from oracles import glue_specs
+    from rlat.generate import boolean_algebra, build_an
+    from rlat.gluing import glue
+    rng = random.Random(40)
+    members = [boolean_algebra(k) for k in range(4)] + [build_an(0)]
+    steps = []
+    while len(steps) < 50:
+        A, B = rng.choice(members), rng.choice(members)
+        specs = list(glue_specs(A, B, 5)) if A.n + B.n <= 48 else []
+        if specs:
+            spec = rng.choice(specs)
+            steps.append((spec, glue(spec)))
+            members.append(steps[-1][1])
+    return members, steps
 
 
 @pytest.fixture(scope="session")

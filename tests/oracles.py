@@ -385,3 +385,46 @@ def glued_order_failures(glued, lower, upper, a, b, phi):
             if leq(glued, n_lo + y, x) != expect:
                 out.append(("upper-lower", n_lo + y, x))
     return out
+
+
+def glue_specs(A, B, cap):
+    """Every valid gluing spec of A below B whose phi has at most cap
+    pairs, by brute force over each bijection between the two cones.
+
+    a runs over A's negative cone not below A's zero, b over B's negative
+    cone with as many elements monoidally below it as lie above a. Each
+    bijection phi of mon_up(a) onto mon_dn(b) with phi(1) = b and
+    phi(a v 0) = b.neg b is tried, and yielded as a GluingSpec in the
+    order of a, b and the permutations if validate_gluing passes.
+    """
+    from rlat.gluing import GluingSpec, validate_gluing
+
+    def cone(alg):
+        return [x for x in range(alg.n) if alg.join[x][alg.one] == alg.one]
+
+    zero = A.neg[A.one]
+    for a in cone(A):
+        anchor = A.join[a][zero]
+        if anchor == zero:
+            continue
+        dom = [x for x in range(A.n) if A.fusion[a][x] == a]
+        if len(dom) > cap:
+            continue
+        for b in cone(B):
+            cod = [y for y in range(B.n) if B.fusion[y][b] == y]
+            if len(cod) != len(dom):
+                continue
+            # one pair when a v 0 = 1, which then needs b = b.neg b
+            fixed = {A.one: b, anchor: B.fusion[b][B.neg[b]]}
+            if (fixed[A.one] != b
+                    or len(set(fixed.values())) != len(fixed)
+                    or not set(fixed) <= set(dom)
+                    or not set(fixed.values()) <= set(cod)):
+                continue
+            rest = [x for x in dom if x not in fixed]
+            for perm in itertools.permutations(
+                    [y for y in cod if y not in fixed.values()]):
+                phi = {**fixed, **dict(zip(rest, perm))}
+                spec = GluingSpec(A, B, a, b, phi)
+                if validate_gluing(spec).ok:
+                    yield spec

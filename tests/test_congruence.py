@@ -186,10 +186,11 @@ class TestSubdirectlyIrreducible:
                       if len(covers(above, c)) == 1}
             assert got == expect, alg
 
-    def test_subdirect_representation(self, members):
+    def test_subdirect_representation(self, members, glued_family):
         # x |-> (x/theta_a)_a, over the completely meet-irreducible
-        # theta_a, embeds each member into a product of SI quotients
-        for alg in members:
+        # theta_a, embeds each member into a product of SI quotients; also
+        # on the seeded random glued members, up to 48 elements
+        for alg in members + glued_family[0]:
             factors = []
             for a in meet_irreducible_generators(alg):
                 factor = quotient(alg, a)

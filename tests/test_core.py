@@ -9,8 +9,9 @@ import pytest
 from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
 import rlat.kernel
-from rlat import (AXIOM_NAMES, FiniteInRL, Report, decompose,
-                  find_isomorphism, partition, subalgebra_generated, validate)
+from rlat import (AXIOM_NAMES, FiniteInRL, Report, congruence_lattice,
+                  decompose, find_atoms, find_isomorphism, partition,
+                  reassemble, split, subalgebra_generated, validate)
 from rlat.core import _fingerprints
 from rlat.fileformat import _covers
 from rlat.generate import boolean_algebra, build_an
@@ -109,6 +110,26 @@ class TestConstruction:
         assert a1.names[a1.element("a")] == "a"
         with pytest.raises(ValueError):
             a1.element("nope")
+
+    def test_index_is_built_on_first_name_lookup(self, a1, built):
+        # validate, partition, congruence_lattice, decompose and reassemble
+        # look no name up, so no algebra they take or build holds an index
+        subjects = [fresh(alg) for alg in (a1, build_an(3),
+                                           boolean_algebra(3))]
+        for alg in subjects:
+            assert validate(alg).ok
+            partition(alg)
+            congruence_lattice(alg)
+            reassemble(decompose(alg))
+        assert len(built) > len(subjects)
+        assert not [alg for alg in built if "index" in vars(alg)]
+        # element and split read it; it maps each name to its id
+        a, b = fresh(a1), fresh(build_an(3))
+        assert a.names[a.element("a")] == "a"
+        res = split(b, find_atoms(b)[0])
+        for alg in (a, res.lower, res.upper):
+            assert "index" in vars(alg)
+            assert alg.index == {name: i for i, name in enumerate(alg.names)}
 
     def test_equality_is_by_content(self):
         assert two_chain() == two_chain()

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import os
 
 import pytest
 
-from oracles import glued_order_failures, semilattice_distributivity_witness
+from oracles import (glue_specs, glued_order_failures,
+                     semilattice_distributivity_witness)
 from rlat import FiniteInRL, find_isomorphism, validate
 from rlat.core import Rejected
 from rlat.decompose import decompose, find_atoms, reassemble, split
@@ -114,6 +116,38 @@ class TestValidateGluing:
         bad = GluingSpec(s.lower, s.upper, s.a, s.b, {})
         with pytest.raises(ValueError):
             glue(bad)
+
+
+class TestGlueSpecs:
+    def test_matches_unpruned_filter(self, corpus8):
+        # every a of A, every b of B and every bijection of mon_up(a) onto
+        # mon_dn(b), kept by validate_gluing alone; no other phi has the
+        # domain and image that validate_gluing asks for
+        def key(spec):
+            assert (spec.lower, spec.upper) == (A, B)
+            return spec.a, spec.b, sorted(spec.phi.items())
+
+        pairs = bijections = valid = 0
+        for A, B in itertools.product(corpus8.algebras, repeat=2):
+            if A.n + B.n > 9:
+                continue
+            pairs += 1
+            want = []
+            for a, b in itertools.product(range(A.n), range(B.n)):
+                dom = [x for x in range(A.n) if A.fusion[a][x] == a]
+                cod = [y for y in range(B.n) if B.fusion[y][b] == y]
+                if len(dom) != len(cod):
+                    continue
+                for image in itertools.permutations(cod):
+                    bijections += 1
+                    spec = GluingSpec(A, B, a, b, dict(zip(dom, image)))
+                    if validate_gluing(spec).ok:
+                        want.append(key(spec))
+            for cap in (2, 9):
+                got = [key(spec) for spec in glue_specs(A, B, cap)]
+                assert got == sorted(w for w in want if len(w[2]) <= cap)
+            valid += len(want)
+        assert (pairs, bijections, valid) == (103, 619, 59)
 
 
 class TestGlue:
