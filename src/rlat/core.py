@@ -119,8 +119,10 @@ class FiniteInRL:
     table entry an int id in range, n ids in neg and n rows of n ids in
     each table. FiniteInRL._of takes the tables rlat builds itself, or has
     parsed and checked line by line, as given. The equational axioms are
-    checked separately by validate().
+    checked separately by validate(). What is built on an algebra is kept:
+    its masks, its name index and its membership record (check_member).
     """
+    _member = False    # set by _as_member; check_member then skips validate
 
     def __init__(self, names, one, neg, join, fusion):
         self.names = list(names)
@@ -154,6 +156,10 @@ class FiniteInRL:
         ids = chain(self.neg, *self.join, *self.fusion)
         if type(sum(ids, one)) is not int:
             raise ValueError("element ids must be ints")
+
+    def _as_member(self):
+        self._member = True
+        return self
 
     @classmethod
     def _of(cls, names, one, neg, join, fusion):
@@ -238,7 +244,8 @@ def _image(alg, reps, label, one):
                      for row in map(table.__getitem__, reps)]
                     for table in (alg.join, alg.fusion))
     return FiniteInRL._of([alg.names[r] for r in reps], label[one],
-                          [label[alg.neg[r]] for r in reps], join, fusion)
+                          [label[alg.neg[r]] for r in reps], join,
+                          fusion)._as_member()
 
 
 def validate(alg):
@@ -345,14 +352,18 @@ class Rejected(ValueError):
 def check_member(alg, label="algebra"):
     """Raise Rejected naming the first axiom alg fails, if any.
 
-    Public entry points call this once on the algebras they receive; what
-    they build from a member is a member by the paper's theorems and is not
-    checked again.
+    Public entry points call this on the algebras they receive. Each
+    FiniteInRL is checked once: a pass is recorded on it, as it is on each
+    member rlat builds by the paper's theorems. validate keeps no record.
     """
+    if getattr(alg, "_member", False):
+        return
     rep = validate(alg)
     if not rep.ok:
         raise Rejected("%s fails axiom %r" % (label, rep.failures()[0][0]),
                        rep, alg)
+    if isinstance(alg, FiniteInRL):      # a duck-typed algebra records none
+        alg._as_member()
 
 
 def _fingerprints(alg):

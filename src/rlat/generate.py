@@ -49,7 +49,7 @@ def boolean_algebra(k):
     join, fusion = ([list(map(ids.__getitem__, map(op, repeat(x), ids)))
                      for x in ids] for op in (or_, and_))
     return FiniteInRL._of(list(map(name, ids)), ids[full], ids[::-1], join,
-                          fusion)
+                          fusion)._as_member()
 
 
 _FOUR = boolean_algebra(2)   # the tables of every block, built once

@@ -151,7 +151,7 @@ def _glue_tree(tree, labels):
     its upper part's names taken below. Rejected names, by labels[id(part)],
     a leaf that is not a member or a node that fails validate_gluing; with
     labels None the caller built the tree from members and valid specs, and
-    nothing is checked."""
+    nothing is checked. The result is recorded a member."""
     order = tree._parts()
     n = sum(part.algebra.n for part in order if isinstance(part, Leaf))
     ids = list(range(n))         # each id one int object, in every cell
@@ -202,4 +202,4 @@ def _glue_tree(tree, labels):
                 names[y] += "'"
             A.index[names[y]] = y
         done.append(A._replace(one=B.one, n=A.n + B.n))
-    return FiniteInRL._of(names, done[0].one, neg, join, fusion)
+    return FiniteInRL._of(names, done[0].one, neg, join, fusion)._as_member()

@@ -172,6 +172,6 @@ def _orders_for_fusion(n, names, neg, fusion, found):
     for entry in found:
         if find_isomorphism(alg, entry[1]) is not None:
             if key < entry[0]:
-                entry[:] = key, alg
+                entry[:] = key, alg._as_member()
             return
-    found.append([key, alg])
+    found.append([key, alg._as_member()])

@@ -10,9 +10,11 @@ from oracles import (meet_infimum_witness, naive_isomorphic,
                      negation_antitone_witness, scan_axioms)
 import rlat.kernel
 from rlat import (AXIOM_NAMES, FiniteInRL, Report, congruence_lattice,
-                  decompose, find_atoms, find_isomorphism, partition,
-                  reassemble, split, subalgebra_generated, validate)
-from rlat.core import _fingerprints
+                  decompose, enumerate_up_to_iso, find_atoms,
+                  find_isomorphism, glue, is_lattice_distributive,
+                  load_algebra, parse, partition, quotient, reassemble,
+                  split, subalgebra_generated, validate)
+from rlat.core import Rejected, _fingerprints, bits
 from rlat.fileformat import _covers
 from rlat.generate import boolean_algebra, build_an
 from rlat.kernel import (_first_distributivity_failure, _first_join_failure,
@@ -821,3 +823,87 @@ class TestSubalgebra:
         alg = build_an(2)
         got = subalgebra_generated(alg, [alg.element("x_0")])
         assert got == set(range(alg.n))
+
+
+def validated_once(calls, alg):
+    """Whether check_member validated alg, and nothing else, exactly once."""
+    return len(calls) == 1 and calls[0] is alg
+
+
+class TestMembershipRecord:
+    """check_member validates each algebra once: a pass is recorded on it,
+    and the members rlat builds from members carry the record."""
+
+    def test_reassemble_checks_no_leaf_of_decompose(self, corpus6,
+                                                    validate_calls):
+        for alg in ([build_an(k) for k in range(5)]
+                    + list(corpus6.algebras)):
+            alg = fresh(alg)
+            del validate_calls[:]
+            tree = decompose(alg)
+            assert validated_once(validate_calls, alg)
+            back = reassemble(tree)
+            assert validated_once(validate_calls, alg)
+            assert find_isomorphism(back, alg) is not None
+
+    def test_split_glue_and_quotient_partition_check_only_the_input(
+            self, a1, validate_calls):
+        for alg in (a1, build_an(2), boolean_algebra(2)):
+            alg = fresh(alg)
+            del validate_calls[:]
+            for c in find_atoms(alg):
+                glue(split(alg, c).spec)
+            for a in bits(alg.neg_cone):
+                partition(quotient(alg, a))
+            assert validated_once(validate_calls, alg)
+
+    def test_two_entry_points_check_once(self, a1, validate_calls):
+        alg = fresh(a1)
+        partition(alg)
+        congruence_lattice(alg)
+        is_lattice_distributive(alg)
+        assert validated_once(validate_calls, alg)
+
+    def test_non_member_is_checked_at_every_call(self, a1, validate_calls):
+        join = [row[:] for row in a1.join]
+        join[2][3] = join[3][2] = (join[2][3] + 1) % a1.n
+        bad = FiniteInRL(a1.names, a1.one, a1.neg, join, a1.fusion)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(Rejected) as exc:
+                partition(bad)
+            raised.append((str(exc.value), exc.value.report.checks))
+        assert validate_calls == [bad, bad]
+        assert validate_calls[0] is validate_calls[1] is bad
+        assert raised[0] == raised[1]
+
+    def test_parsed_and_constructed_algebras_are_checked_once(
+            self, a1, fixdir, validate_calls):
+        text = (fixdir / "a1.rlat").read_text(encoding="utf-8")
+        for alg in (parse(text), load_algebra(fixdir / "a1.rlat"),
+                    FiniteInRL(a1.names, a1.one, a1.neg, a1.join, a1.fusion)):
+            del validate_calls[:]
+            partition(alg)
+            assert validated_once(validate_calls, alg)
+            congruence_lattice(alg)
+            assert validated_once(validate_calls, alg)
+
+    def test_built_members_are_not_checked(self, a1, fixdir, sample_spec,
+                                           validate_calls):
+        alg = fresh(a1)
+        tree, factors = decompose(alg), split(alg, find_atoms(alg)[0])
+        built = [build_an(3), boolean_algebra(3), glue(sample_spec),
+                 load_algebra(fixdir / "sample.gspec"), reassemble(tree),
+                 quotient(alg, alg.zero), factors.lower, factors.upper,
+                 *(leaf.algebra for leaf in tree.leaves()),
+                 *enumerate_up_to_iso(4).algebras]
+        del validate_calls[:]
+        for member in built:
+            partition(member)
+        assert validate_calls == []
+
+    def test_validate_leaves_no_record(self, a1, validate_calls):
+        alg = fresh(a1)
+        assert validate(alg).ok
+        partition(alg)
+        assert validated_once(validate_calls, alg)

@@ -1,6 +1,6 @@
 import pytest
 
-from rlat import validate
+from rlat import FiniteInRL, validate
 from rlat.core import bits
 from rlat.decompose import Leaf, Node, decompose, find_atoms, reassemble, split
 from rlat.generate import boolean_algebra, build_an
@@ -86,8 +86,10 @@ class TestSplit:
             split(a1, a1.one)
 
     def test_validates_once(self, a1, validate_calls):
-        split(a1, a1.element("c"))
-        assert validate_calls == [a1]
+        # a fresh copy: a1 is shared, and the first check records it
+        alg = FiniteInRL(a1.names, a1.one, a1.neg, a1.join, a1.fusion)
+        split(alg, alg.element("c"))
+        assert validate_calls == [alg]
 
     @pytest.mark.parametrize("c", [-1, 10, 11])
     def test_id_out_of_range_rejected(self, a1, c):

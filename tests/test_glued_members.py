@@ -11,7 +11,8 @@ import random
 
 from oracles import glued_order_failures, semilattice_distributivity_witness
 from rlat import (FiniteInRL, congruence_lattice, decompose, find_atoms,
-                  find_isomorphism, partition, reassemble, split, validate)
+                  find_isomorphism, load_algebra, partition, reassemble,
+                  split, validate, write_tree)
 from rlat.gluing import glue
 from test_core import assert_isomorphism, relabelled
 from theorems import verify_partition
@@ -56,6 +57,27 @@ class TestRandomGluedMembers:
                 assert_isomorphism(back, alg, find_isomorphism(back, alg))
                 splits += 1
         assert splits == 51
+
+    def test_decomposition_tree_round_trips_on_disk(
+            self, glued_family, tmp_path, validate_calls):
+        # a tree with nodes is loaded from its root t.gspec, and each leaf
+        # file under it is parsed and validated once: a file is never
+        # trusted, whatever wrote it; a one-leaf tree is its root t.rlat
+        nodes = 0
+        for i, alg in enumerate(glued_family[0]):
+            tree, out = decompose(alg), tmp_path / str(i)
+            root = out / write_tree(tree, out)[0][0]
+            del validate_calls[:]
+            back = load_algebra(root)
+            assert_isomorphism(back, alg, find_isomorphism(back, alg))
+            if root.suffix == ".gspec":
+                leaves = [leaf.algebra for leaf in tree.leaves()]
+                assert validate_calls == leaves
+                assert len(set(map(id, validate_calls))) == len(leaves)
+                nodes += 1
+            else:
+                assert root.name == "t.rlat" and validate_calls == []
+        assert nodes == 51
 
     def test_leaves_are_the_blocks(self, glued_family):
         # each leaf holds the elements of one Boolean block, by name, and

@@ -94,8 +94,10 @@ class TestBlockStructure:
             assert exc.value.subject is bad
 
     def test_partition_validates_once(self, a1, validate_calls):
-        partition(a1)
-        assert validate_calls == [a1]
+        # a fresh copy: a1 is shared, and the first check records it
+        alg = FiniteInRL(a1.names, a1.one, a1.neg, a1.join, a1.fusion)
+        partition(alg)
+        assert validate_calls == [alg]
 
 
 class TestBlockArithmetic:
